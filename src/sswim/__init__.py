@@ -9,6 +9,8 @@ from .errors import (
     DegenerateNeuronError,
     EigensolverError,
     EmptyGridError,
+    LambdaSearchError,
+    NeuronError,
     PipelineError,
     SilentNetworkError,
     SswimError,
@@ -32,8 +34,6 @@ from .kernels import (
     KernelSpec,
     PlacedKernel,
     Rectification,
-    discretize_placed_kernel,
-    evaluate_kernel,
     kernel_peak_offset,
     pspk,
     rfk,
@@ -69,7 +69,6 @@ from .sampling import (
     VanRossumLift,
     embed,
     pair_probabilities,
-    pseudometric,
     sample_pair,
     select_metrics,
     shannon_entropy,

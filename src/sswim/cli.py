@@ -194,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train one model per configured seed")
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--seed", type=int, default=None, help="override the seed list")
-    p_train.add_argument("--threads", type=int, default=None)
     p_train.add_argument("--out", default=None, help="output directory override")
     p_train.set_defaults(func=cmd_train)
 

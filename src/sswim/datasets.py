@@ -22,7 +22,7 @@ def load_csv(path, variables: int | None = None) -> np.ndarray:
     variable. A non-numeric first row is treated as a header and skipped.
 
     Returns a (variables, steps) matrix. Ragged rows, non-numeric cells and
-    NaNs are rejected with the offending location.
+    non-finite cells (NaN, inf, -inf) are rejected with the offending location.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -52,9 +52,12 @@ def load_csv(path, variables: int | None = None) -> np.ndarray:
         if len(row) != width:
             raise ValueError(f"{path}: ragged row at line {i}: {len(row)} != {width} cells")
     series = np.asarray(rows, dtype=float).T
-    if np.any(np.isnan(series)):
-        step, var = np.argwhere(np.isnan(series.T))[0]
-        raise ValueError(f"{path}: NaN at row {step + 1}, column {var + 1}")
+    bad = ~np.isfinite(series.T)
+    if np.any(bad):
+        step, var = np.argwhere(bad)[0]
+        value = series[var, step]
+        shown = "NaN" if np.isnan(value) else repr(float(value))
+        raise ValueError(f"{path}: non-finite {shown} at row {step + 1}, column {var + 1}")
     if variables is not None and series.shape[0] != variables:
         raise ValueError(f"{path}: expected {variables} variables, found {series.shape[0]}")
     return series

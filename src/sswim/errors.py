@@ -29,12 +29,20 @@ class SilentNetworkError(SswimError):
     """No hidden neuron emitted a single spike on the initialization batch."""
 
 
-class EigensolverError(SswimError):
-    """The symmetric eigendecomposition failed to converge."""
+class NeuronError(SswimError):
+    """Fitting one output neuron failed; ``neuron`` is its index."""
 
     def __init__(self, message, neuron=None):
         super().__init__(message)
         self.neuron = neuron
+
+
+class EigensolverError(NeuronError):
+    """The symmetric eigendecomposition failed to converge."""
+
+
+class LambdaSearchError(NeuronError):
+    """No regularization candidate gave a finite validation loss."""
 
 
 class PipelineError(SswimError):

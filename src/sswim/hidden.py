@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateNeuronError, TrivialPairError
 from .kernels import KernelSpec, PlacedKernel
-from .network import LayerParams, causal_conv_matrix
+from .network import LayerParams, kernel_conv_matrix
 from .sampling import PairProbabilities, Pseudometric, pair_probabilities, sample_pair
 
 STD_FLOOR = 1e-12
@@ -234,13 +234,6 @@ def normalize_fl(stats: VoltageStats, z: float, sc_eps: float = 1e-9) -> Normali
 # layer assembly
 
 
-def _neuron_conv_matrix(pspk_spec: KernelSpec, delay: float, support: float,
-                        n_steps: int, dt: float) -> np.ndarray:
-    pk = PlacedKernel(pspk_spec, delay, support)
-    taps = pk.taps(min(pk.tap_span(dt), n_steps), dt)
-    return causal_conv_matrix(taps, n_steps)
-
-
 def build_hidden_layer(layer_index: int, n_layers: int, n_neurons: int,
                        pspk_spec: KernelSpec, rfk_spec: KernelSpec,
                        latents: np.ndarray, targets: np.ndarray,
@@ -282,9 +275,8 @@ def build_hidden_layer(layer_index: int, n_layers: int, n_neurons: int,
     chosen_pairs = []
 
     for i in range(n_neurons):
-        conv = _neuron_conv_matrix(
-            pspk_spec, float(assign.delay[i]), float(assign.support[i]), n_steps, dt
-        )
+        pk = PlacedKernel(pspk_spec, float(assign.delay[i]), float(assign.support[i]))
+        conv = kernel_conv_matrix(pk, n_steps, dt)
         for attempt in range(cfg.max_retries + 1):
             try:
                 if cfg.weight_criterion == "random":

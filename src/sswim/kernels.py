@@ -17,7 +17,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import EmptyGridError
-from .signals import DiscreteSignal
 
 
 class KernelFamily(str, Enum):
@@ -75,10 +74,6 @@ def rfk(family: KernelFamily | str) -> KernelSpec:
     return KernelSpec(KernelFamily(family), Rectification.EXCLUSIVE)
 
 
-def evaluate_kernel(spec: KernelSpec, x):
-    return spec.evaluate(x)
-
-
 def kernel_peak_offset(spec: KernelSpec) -> float:
     """Location of the causal peak in unscaled coordinates.
 
@@ -127,7 +122,3 @@ class PlacedKernel:
     def tap_span(self, dt: float = 1.0) -> int:
         """Number of grid steps after which the placed kernel is surely zero."""
         return int(np.floor((self.delay + self.support) / dt)) + 1
-
-
-def discretize_placed_kernel(pk: PlacedKernel, dt: float, grid_len: int) -> DiscreteSignal:
-    return DiscreteSignal(values=pk.taps(grid_len, dt)[None, :], dt=dt)

@@ -20,6 +20,7 @@ convolving the 0/1 spike indicator with the discretized kernel.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,10 +180,10 @@ def dense_input(inputs, n_steps: int) -> np.ndarray:
     return vals
 
 
-def layer_taps(layer: LayerParams, neuron: int, n_steps: int, dt: float = 1.0) -> np.ndarray:
-    pk = layer.placed_kernel(neuron)
-    span = min(pk.tap_span(dt), n_steps)
-    return pk.taps(span, dt)
+def kernel_conv_matrix(pk: PlacedKernel, n_steps: int, dt: float = 1.0) -> np.ndarray:
+    """Causal convolution matrix of a placed kernel on an ``n_steps`` grid;
+    ``x @ C.T`` is the kernel response to ``x``."""
+    return causal_conv_matrix(pk.taps(min(pk.tap_span(dt), n_steps), dt), n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +215,7 @@ def psp_contributions(layer: LayerParams, neuron: int, inputs,
         k = psp_window_matrix(layer.placed_kernel(neuron), n_steps, window, dt)
         out = dense @ k
     else:
-        taps = layer_taps(layer, neuron, n_steps, dt)
-        c = causal_conv_matrix(taps, n_steps)
+        c = kernel_conv_matrix(layer.placed_kernel(neuron), n_steps, dt)
         out = (dense @ c.T)[:, window[0]: window[1]]
     return DiscreteSignal(values=out, dt=dt)
 
@@ -231,8 +231,7 @@ def hidden_drive_batch(layer: LayerParams, dense_in: np.ndarray,
     projected = np.matmul(layer.weights, dense_in)  # (M, N, G)
     drive = np.empty_like(projected)
     for i in range(layer.n_neurons):
-        taps = layer_taps(layer, i, n_steps, dt)
-        c = causal_conv_matrix(taps, n_steps)
+        c = kernel_conv_matrix(layer.placed_kernel(i), n_steps, dt)
         drive[:, i, :] = projected[:, i, :] @ c.T
     drive += layer.bias[None, :, None]
     return drive
@@ -274,6 +273,22 @@ def simulate_hidden_batch(layer: LayerParams, dense_in: np.ndarray,
         volt[:, :, t] = v
         spiked[:, :, t] = v >= THRESHOLD
     return spiked, volt
+
+
+def simulate_hidden_stack(layers, dense_in: np.ndarray, chunk: int,
+                          dt: float = 1.0) -> list:
+    """Spike masks (samples, neurons, steps) of every hidden layer in
+    ``layers`` for a dense input batch, each layer simulated ``chunk``
+    samples at a time on the previous layer's spikes."""
+    masks = []
+    dense = dense_in
+    for layer in layers:
+        mask = np.empty((dense.shape[0], layer.n_neurons, dense.shape[-1]), dtype=bool)
+        for lo in range(0, dense.shape[0], chunk):
+            mask[lo: lo + chunk], _ = simulate_hidden_batch(layer, dense[lo: lo + chunk], dt)
+        masks.append(mask)
+        dense = mask.astype(float)
+    return masks
 
 
 def simulate_hidden_layer(layer: LayerParams, inputs,
@@ -335,26 +350,12 @@ def forward(model: SnnModel, x) -> tuple[DiscreteSignal, list]:
     dense = dense_input(x, n_steps)
     if dense.shape[0] != model.d_in:
         raise ValueError(f"model expects {model.d_in} input channels, got {dense.shape[0]}")
-    dense = dense[None, :, :]
-    hidden_spikes = []
-    for layer in model.layers[:-1]:
-        spiked, _ = simulate_hidden_batch(layer, dense, model.grid.dt)
-        hidden_spikes.append(SpikeTrainSet.from_dense(spiked[0]))
-        dense = spiked.astype(float)
-    vals = output_voltages_batch(model.layers[-1], dense, model.grid.window, model.grid.dt)[0]
+    batch = dense[None, :, :]
+    masks = simulate_hidden_stack(model.layers[:-1], batch, 1, model.grid.dt)
+    combs = masks[-1].astype(float) if masks else batch
+    vals = output_voltages_batch(model.layers[-1], combs, model.grid.window, model.grid.dt)[0]
+    hidden_spikes = [SpikeTrainSet.from_dense(mask[0]) for mask in masks]
     return DiscreteSignal(values=vals, dt=model.grid.dt), hidden_spikes
-
-
-def forward_batch(model: SnnModel, dense_in: np.ndarray) -> tuple[np.ndarray, list]:
-    """Batched forward pass; returns predictions (M, D_out, H) and spike masks."""
-    dense = dense_in
-    masks = []
-    for layer in model.layers[:-1]:
-        spiked, _ = simulate_hidden_batch(layer, dense, model.grid.dt)
-        masks.append(spiked)
-        dense = spiked.astype(float)
-    preds = output_voltages_batch(model.layers[-1], dense, model.grid.window, model.grid.dt)
-    return preds, masks
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +436,29 @@ def model_from_dict(d: dict) -> SnnModel:
 
 
 def save_model(model: SnnModel, path) -> None:
-    """Write the model as JSON; floats round-trip exactly via shortest repr."""
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=1)
-        fh.write("\n")
+    """Write the model as JSON; floats round-trip exactly via shortest repr.
+
+    A non-finite value raises ValueError naming its layer (1-based). The
+    file is written to a temporary name in the same directory and then
+    renamed over ``path``, so an existing file is replaced whole or not at all.
+    """
+    data = model_to_dict(model)
+    for layer_no, layer in enumerate(data["layers"], start=1):
+        try:
+            json.dumps(layer, allow_nan=False)
+        except ValueError:
+            raise ValueError(
+                f"layer {layer_no} holds a non-finite value; model not saved"
+            ) from None
+    text = json.dumps(data, indent=1, allow_nan=False)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_model(path) -> SnnModel:

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import EigensolverError, SilentNetworkError
+from .errors import EigensolverError, LambdaSearchError, SilentNetworkError
 from .kernels import KernelSpec, PlacedKernel, kernel_peak_offset
 from .network import psp_window_matrix
-from .signals import SpikeTrainSet
+from .signals import spike_mask
 
 
 # ---------------------------------------------------------------------------
@@ -43,35 +43,37 @@ def _aggregate_delays(delays: np.ndarray, how: str) -> float:
     raise ValueError(f"unknown delay aggregation: {how!r}")
 
 
-def estimate_delays(spike_sets: list, targets: np.ndarray, pspk_spec: KernelSpec,
+def estimate_delays(spikes, targets: np.ndarray, pspk_spec: KernelSpec,
                     obs_len: int, window_start: int,
                     aggregation: str = "median", dt: float = 1.0) -> DelayEstimate:
     """Correlation-based delay per output neuron.
 
-    ``spike_sets`` holds one SpikeTrainSet per sample (hidden-layer output
-    on the initialization batch); ``targets`` is (samples, d_out, horizon)
-    on the window starting at ``window_start``. For each candidate lag in
-    [0, obs_len) the centered target is evaluated at every spike time plus
-    the lag (zero outside its window), magnitudes are aggregated over
-    samples and trains, and the peak lag wins. Ties fall to the smallest
-    lag.
+    ``spikes`` is the hidden-layer output on the initialization batch: a
+    boolean (samples, neurons, steps) mask or one SpikeTrainSet per sample.
+    ``targets`` is (samples, d_out, horizon) on the window starting at
+    ``window_start``. For each candidate lag in [0, obs_len) the centered
+    target is evaluated at every spike time plus the lag (zero outside its
+    window), magnitudes are aggregated over samples and neurons, and the
+    peak lag wins. Ties fall to the smallest lag.
     """
+    mask = spike_mask(spikes)
     n_samples, d_out, horizon = targets.shape
-    if len(spike_sets) != n_samples:
-        raise ValueError("one spike train set per sample is required")
-    if not any(s.total_spikes() for s in spike_sets):
+    if mask.shape[0] != n_samples:
+        raise ValueError("one spike mask per sample is required")
+    if not mask.any():
         raise SilentNetworkError("no hidden spikes; delays cannot be estimated")
     lags = np.arange(obs_len)
     agg = np.zeros((d_out, obs_len))
-    for spikes, target in zip(spike_sets, targets):
+    for sample_mask, target in zip(mask, targets):
         centered = target - target.mean(axis=1, keepdims=True)
-        padded = np.zeros((d_out, spikes.n_steps + obs_len))
+        padded = np.zeros((d_out, sample_mask.shape[1] + obs_len))
         padded[:, window_start: window_start + horizon] = centered
-        counts = spikes.counts()
+        counts = sample_mask.sum(axis=1)
         nonempty = np.flatnonzero(counts)
         if nonempty.size == 0:
             continue
-        all_spikes = np.concatenate([spikes.trains[j] for j in nonempty])
+        # row-major order: spike steps grouped by neuron, ascending within
+        _, all_spikes = np.nonzero(sample_mask)
         gathered = padded[:, all_spikes[:, None] + lags[None, :]]  # (d_out, F, O)
         starts = np.concatenate([[0], np.cumsum(counts[nonempty])[:-1]])
         per_train = np.add.reduceat(gathered, starts, axis=1)      # (d_out, J, O)
@@ -115,13 +117,6 @@ def support_candidates(lo: float, hi: float, alpha: float, count: int) -> Suppor
     return SupportCandidates(values=values, alpha=alpha, bounds=(lo, hi), count=count)
 
 
-def _stack_spike_combs(spike_sets) -> np.ndarray:
-    """Dense (samples, neurons, steps) indicator from spike sets or a mask."""
-    if isinstance(spike_sets, np.ndarray):
-        return spike_sets.astype(float)
-    return np.stack([s.to_dense() for s in spike_sets])
-
-
 def assemble_design(dense_combs: np.ndarray, pk: PlacedKernel,
                     window: tuple[int, int], dt: float = 1.0) -> np.ndarray:
     """Stacked design matrix: a ones column plus one kernel-response column
@@ -156,24 +151,29 @@ def projection_residuals(design: np.ndarray, stacked_targets: np.ndarray) -> np.
     return np.maximum(y_sq - proj_sq, 0.0)
 
 
-def residual_for_candidate(spike_sets: list, targets: np.ndarray,
+def residual_for_candidate(spikes, targets: np.ndarray,
                            tau_bar: float, sigma_c: float, pspk_spec: KernelSpec,
                            window: tuple[int, int], dt: float = 1.0) -> np.ndarray:
-    """Optimal least-squares residual norms per output neuron for one support."""
-    combs = _stack_spike_combs(spike_sets)
+    """Optimal least-squares residual norms per output neuron for one support.
+
+    ``spikes`` is a boolean (samples, neurons, steps) mask or one
+    SpikeTrainSet per sample.
+    """
+    combs = spike_mask(spikes).astype(float)
     design = assemble_design(combs, PlacedKernel(pspk_spec, tau_bar, sigma_c), window, dt)
     return projection_residuals(design, _stack_targets(targets))
 
 
-def select_supports(spike_sets: list, targets: np.ndarray, delays: DelayEstimate,
+def select_supports(spikes, targets: np.ndarray, delays: DelayEstimate,
                     candidates: SupportCandidates, pspk_spec: KernelSpec,
                     window: tuple[int, int], dt: float = 1.0) -> np.ndarray:
     """Residual-minimizing support per output neuron over the candidate grid.
 
-    One QR factorization per candidate is shared across all output neurons;
-    ties resolve to the smallest candidate.
+    ``spikes`` is a boolean (samples, neurons, steps) mask or one
+    SpikeTrainSet per sample. One QR factorization per candidate is shared
+    across all output neurons; ties resolve to the smallest candidate.
     """
-    combs = _stack_spike_combs(spike_sets)
+    combs = spike_mask(spikes).astype(float)
     stacked = _stack_targets(targets)
     residuals = np.empty((candidates.count, targets.shape[1]))
     for c, sigma_c in enumerate(candidates.values):
@@ -268,9 +268,10 @@ def _dedupe_params(delays: np.ndarray, supports: np.ndarray):
 def accumulate_normal_equations(batches, delays: np.ndarray, supports: np.ndarray,
                                 pspk_spec: KernelSpec, window: tuple[int, int],
                                 dt: float = 1.0) -> NormalEquations:
-    """Stream (spike_sets, targets) batches into per-neuron normal equations.
+    """Stream (spikes, targets) batches into per-neuron normal equations.
 
-    ``batches`` yields tuples of a list of SpikeTrainSet and the matching
+    ``batches`` yields tuples of a boolean (samples, neurons, steps) spike
+    mask (or one SpikeTrainSet per sample) and the matching
     (samples, d_out, horizon) target array. Neurons sharing the same
     (delay, support) share one Gram matrix; the full stacked design is
     never materialized.
@@ -279,8 +280,8 @@ def accumulate_normal_equations(batches, delays: np.ndarray, supports: np.ndarra
     supports = np.asarray(supports, dtype=float)
     keys, members, group_of_neuron = _dedupe_params(delays, supports)
     accs = None
-    for spike_sets, targets in batches:
-        combs = _stack_spike_combs(spike_sets)
+    for spikes, targets in batches:
+        combs = spike_mask(spikes).astype(float)
         stacked = _stack_targets(targets)
         if accs is None:
             n_features = combs.shape[1] + 1
@@ -314,7 +315,8 @@ def solve_with_lambda_search(train_ne: NormalEquations, valid_ne: NormalEquation
     One symmetric eigendecomposition of the training Gram per neuron covers
     every candidate: with gram = V diag(e) V^T the ridge solution for
     candidate lam is V diag(1/(e + M*lam)) V^T rhs. Candidates are scored
-    by the validation quadratic loss; ties keep the larger lambda.
+    by the validation quadratic loss; ties keep the larger lambda. A neuron
+    whose losses are all NaN raises LambdaSearchError naming it.
 
     Returns (weights (d_out, n_hidden), bias (d_out,), chosen lambda (d_out,)).
     """
@@ -350,6 +352,10 @@ def solve_with_lambda_search(train_ne: NormalEquations, valid_ne: NormalEquation
                 best_loss = loss
                 best_p = p
                 best_lam = lam
+        if best_p is None:
+            raise LambdaSearchError(
+                f"every validation loss of output neuron {i} is non-finite", neuron=i
+            )
         bias[i] = best_p[0]
         weights[i] = best_p[1:]
         chosen[i] = best_lam

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateDistributionError
 from .kernels import KernelSpec, PlacedKernel
-from .network import causal_conv_matrix
+from .network import kernel_conv_matrix
 from .signals import DiscreteSignal, SpikeTrainSet
 
 
@@ -102,17 +102,12 @@ class VanRossumLift:
     kernel: KernelSpec
     support: float = 1.0
 
-    def conv_matrix(self, n_steps: int, dt: float = 1.0) -> np.ndarray:
-        pk = PlacedKernel(self.kernel, 0.0, self.support)
-        taps = pk.taps(min(pk.tap_span(dt), n_steps), dt)
-        return causal_conv_matrix(taps, n_steps)
-
     def apply(self, trains: SpikeTrainSet, dt: float = 1.0) -> np.ndarray:
-        return trains.to_dense() @ self.conv_matrix(trains.n_steps, dt).T
+        return self.apply_batch(trains.to_dense(), dt)
 
     def apply_batch(self, dense_combs: np.ndarray, dt: float = 1.0) -> np.ndarray:
-        c = self.conv_matrix(dense_combs.shape[-1], dt)
-        return dense_combs @ c.T
+        pk = PlacedKernel(self.kernel, 0.0, self.support)
+        return dense_combs @ kernel_conv_matrix(pk, dense_combs.shape[-1], dt).T
 
 
 @dataclass(frozen=True)
@@ -174,10 +169,6 @@ class Pseudometric:
         dist = np.tril(dist, -1)
         dist = dist + dist.T
         return dist
-
-
-def pseudometric(metric: Pseudometric, a, b, dt: float = 1.0) -> float:
-    return metric.distance(a, b, dt)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 Everything in the package lives on a uniform time grid with step ``dt``
 (1 timestep by default). Real-valued signals are dense channel-by-step
-matrices; spike trains are kept sparse as sorted step indices per neuron.
+matrices. Inside the package, spikes are boolean masks of shape
+(samples, neurons, steps). ``SpikeTrainSet`` (sorted step indices per
+neuron) is the API boundary type: public functions that accept a list of
+them convert it once with ``spike_mask`` and then work on the mask.
 """
 
 from __future__ import annotations
@@ -88,3 +91,11 @@ class SpikeTrainSet:
         mask = np.asarray(mask)
         trains = [np.flatnonzero(mask[i]).astype(np.int64) for i in range(mask.shape[0])]
         return cls(trains=trains, n_steps=mask.shape[1])
+
+
+def spike_mask(spikes) -> np.ndarray:
+    """Boolean (samples, neurons, steps) mask from a mask or a list of
+    SpikeTrainSet (one per sample)."""
+    if isinstance(spikes, np.ndarray):
+        return spikes.astype(bool, copy=False)
+    return np.stack([s.to_dense() for s in spikes]).astype(bool)

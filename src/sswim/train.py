@@ -30,7 +30,7 @@ from .network import (
     SnnModel,
     model_to_dict,
     output_voltages_batch,
-    simulate_hidden_batch,
+    simulate_hidden_stack,
 )
 from .output import (
     accumulate_normal_equations,
@@ -42,7 +42,6 @@ from .output import (
     support_candidates,
 )
 from .sampling import EmbeddingSpec, Pseudometric, VanRossumLift, select_metrics
-from .signals import SpikeTrainSet
 
 
 @dataclass
@@ -97,7 +96,7 @@ def _phase(name: str, timings: dict):
         yield
     except PipelineError:
         raise
-    except SswimError as exc:
+    except (SswimError, ValueError) as exc:  # np.linalg.LinAlgError is a ValueError
         raise PipelineError(name, exc) from exc
     finally:
         timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
@@ -108,19 +107,6 @@ def _pad_inputs(inputs: np.ndarray, total_steps: int) -> np.ndarray:
     padded = np.zeros(inputs.shape[:2] + (total_steps,))
     padded[:, :, : inputs.shape[2]] = inputs
     return padded
-
-
-def _spike_sets_from_masks(masks: np.ndarray) -> list:
-    return [SpikeTrainSet.from_dense(masks[i]) for i in range(masks.shape[0])]
-
-
-def _simulate_hidden_stack(layers, dense_batch: np.ndarray) -> np.ndarray:
-    """Spike mask of the last hidden layer for a padded dense input batch."""
-    dense = dense_batch
-    for layer in layers:
-        spiked, _ = simulate_hidden_batch(layer, dense)
-        dense = spiked.astype(float)
-    return spiked
 
 
 def _candidate_metrics(cfg: SswimConfig, lift: VanRossumLift | None):
@@ -138,19 +124,9 @@ def _collect_split_spikes(layers, dataset: ForecastDataset, starts,
     for lo in range(0, len(starts), batch_size):
         chunk = starts[lo: lo + batch_size]
         dense = _pad_inputs(dataset.input_batch(chunk), total_steps)
-        masks = _simulate_hidden_stack(layers, dense)
+        masks = simulate_hidden_stack(layers, dense, batch_size)[-1]
         cached.append((masks, dataset.target_batch(chunk)))
     return cached
-
-
-def predictions_from_spikes(out_layer: LayerParams, spikes,
-                            window: tuple[int, int]) -> np.ndarray:
-    """Predictions for cached spike masks or a list of SpikeTrainSet."""
-    if isinstance(spikes, np.ndarray):
-        combs = spikes.astype(float)
-    else:
-        combs = np.stack([s.to_dense() for s in spikes])
-    return output_voltages_batch(out_layer, combs, window)
 
 
 def predict_batch(model: SnnModel, inputs: np.ndarray,
@@ -160,7 +136,7 @@ def predict_batch(model: SnnModel, inputs: np.ndarray,
     preds = []
     for lo in range(0, inputs.shape[0], batch_size):
         dense = _pad_inputs(inputs[lo: lo + batch_size], total)
-        masks = _simulate_hidden_stack(model.layers[:-1], dense)
+        masks = simulate_hidden_stack(model.layers[:-1], dense, batch_size)[-1]
         preds.append(
             output_voltages_batch(model.layers[-1], masks.astype(float), model.grid.window)
         )
@@ -192,27 +168,25 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
     train_starts = dataset.starts["train"]
     if len(train_starts) < 2:
         raise PipelineError("subbatch", SswimError("need at least two training windows"))
-    m_sub = min(cfg.subbatch, len(train_starts))
-    if m_sub < cfg.subbatch:
-        report.subbatch_capped = True
-        warnings.warn(
-            f"initialization batch capped at the {m_sub} available training windows",
-            stacklevel=2,
-        )
-    pick = np.sort(rng_subbatch.choice(len(train_starts), size=m_sub, replace=False))
-    xi_starts = train_starts[pick]
-    inputs_xi = _pad_inputs(dataset.input_batch(xi_starts), total_steps)
-    targets_xi = dataset.target_batch(xi_starts)
 
     hidden_pspk, hidden_rfk = pspk(arch.pspk), rfk(arch.rfk)
     output_pspk = pspk(arch.output_pspk)
     n_layers = len(arch.hidden)
 
     hidden_layers = []
-    latents = inputs_xi
-    last_masks = None
     timings = report.timings
     with _phase("hidden_build", timings):
+        m_sub = min(cfg.subbatch, len(train_starts))
+        if m_sub < cfg.subbatch:
+            report.subbatch_capped = True
+            warnings.warn(
+                f"initialization batch capped at the {m_sub} available training windows",
+                stacklevel=2,
+            )
+        pick = np.sort(rng_subbatch.choice(len(train_starts), size=m_sub, replace=False))
+        xi_starts = train_starts[pick]
+        latents = _pad_inputs(dataset.input_batch(xi_starts), total_steps)
+        targets_xi = dataset.target_batch(xi_starts)
         for layer_index, n_neurons in enumerate(arch.hidden, start=1):
             lift = None
             if layer_index > 1:
@@ -244,18 +218,13 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
                 chunk=cfg.batch_size,
             )
             hidden_layers.append(layer)
-            masks = np.empty((m_sub, n_neurons, total_steps), dtype=bool)
-            for lo in range(0, m_sub, cfg.batch_size):
-                spiked, _ = simulate_hidden_batch(layer, latents[lo: lo + cfg.batch_size])
-                masks[lo: lo + cfg.batch_size] = spiked
-            latents = masks.astype(float)
-            last_masks = masks
-    spike_sets_xi = _spike_sets_from_masks(last_masks)
-    report.spike_counts = last_masks.sum(axis=(0, 2)).astype(np.int64)
+            masks_xi = simulate_hidden_stack([layer], latents, cfg.batch_size)[0]
+            latents = masks_xi.astype(float)
+        report.spike_counts = masks_xi.sum(axis=(0, 2)).astype(np.int64)
 
     with _phase("delays", timings):
         delays = estimate_delays(
-            spike_sets_xi, targets_xi, output_pspk, obs_len,
+            masks_xi, targets_xi, output_pspk, obs_len,
             window_start=obs_len, aggregation=cfg.delay_aggregation,
         )
 
@@ -266,7 +235,7 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
             cfg.support_min, support_max, cfg.support_alpha, cfg.support_count
         )
         supports = select_supports(
-            spike_sets_xi, targets_xi, delays, candidates, output_pspk, window
+            masks_xi, targets_xi, delays, candidates, output_pspk, window
         )
 
     with _phase("weights", timings):
@@ -290,24 +259,24 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
         )
         lams = lambda_grid(cfg.lambda_count, cfg.lambda_min, cfg.lambda_max)
         weights, bias, chosen = solve_with_lambda_search(train_ne, valid_ne, lams)
-    report.chosen_lambda = [float(lam) for lam in chosen]
+        report.chosen_lambda = [float(lam) for lam in chosen]
 
-    out_layer = LayerParams(
-        weights=weights, bias=bias, delay=delays.per_neuron,
-        support=supports, pspk=output_pspk,
-    )
-    model = SnnModel(
-        layers=hidden_layers + [out_layer],
-        d_in=d_in, d_out=d_out,
-        grid=GridSpec(dt=1.0, total_steps=total_steps, horizon=horizon),
-        metadata={
-            "seed": seed,
-            "metric_in": report.metric_in,
-            "metric_out": report.metric_out,
-            "chosen_lambda": report.chosen_lambda,
-            "lambda_source": lambda_source,
-        },
-    )
+        out_layer = LayerParams(
+            weights=weights, bias=bias, delay=delays.per_neuron,
+            support=supports, pspk=output_pspk,
+        )
+        model = SnnModel(
+            layers=hidden_layers + [out_layer],
+            d_in=d_in, d_out=d_out,
+            grid=GridSpec(dt=1.0, total_steps=total_steps, horizon=horizon),
+            metadata={
+                "seed": seed,
+                "metric_in": report.metric_in,
+                "metric_out": report.metric_out,
+                "chosen_lambda": report.chosen_lambda,
+                "lambda_source": lambda_source,
+            },
+        )
 
     with _phase("eval", timings):
         counts_sq = np.concatenate([m.sum(axis=2) for m, _ in train_cache], axis=0)
@@ -326,7 +295,8 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
                              ("valid", valid_cache if lambda_source == "valid" else [])):
             if cache:
                 preds = np.concatenate(
-                    [predictions_from_spikes(out_layer, m, window) for m, _ in cache]
+                    [output_voltages_batch(out_layer, m.astype(float), window)
+                     for m, _ in cache]
                 )
                 targets = np.concatenate([t for _, t in cache])
                 report.rse[split] = rse(preds, targets)

@@ -68,6 +68,22 @@ class TestTrainCommand:
         assert main(["train", "--config", str(path)]) == 2
         assert "exist.csv" in capsys.readouterr().err
 
+    def test_phase_failure_exits_one_and_names_the_phase(self, tmp_path, monkeypatch,
+                                                          capsys):
+        def fail(*args, **kwargs):
+            raise ValueError("injected")
+
+        monkeypatch.setattr("sswim.train.select_supports", fail)
+        cfg, _ = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert "phase 'supports' failed: injected" in capsys.readouterr().err
+
+    def test_threads_flag_is_gone(self, tmp_path):
+        cfg, _ = write_config(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--config", str(cfg), "--threads", "2"])
+        assert info.value.code == 2
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg, out = write_config(tmp_path)
         assert main(["train", "--config", str(cfg)]) == 0

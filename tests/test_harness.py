@@ -11,6 +11,7 @@ from sswim.datasets import (
     split_window_starts,
     synth_dataset,
 )
+from sswim.errors import PipelineError
 from sswim.train import (
     aggregate_ablation,
     evaluate_split,
@@ -42,8 +43,12 @@ class TestLoadCsv:
     def test_nan_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1,2\nnan,4\n")
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(ValueError, match="NaN at row 2, column 1"):
             load_csv(path)
+        for cell in ("inf", "-inf"):
+            path.write_text(f"1,2\n3,4\n5,{cell}\n")
+            with pytest.raises(ValueError, match=f"non-finite {cell} at row 3, column 2"):
+                load_csv(path)
 
     def test_variable_count_checked(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -196,11 +201,26 @@ class TestTrainSswim:
         assert set(report.rse) == {"train", "valid", "test"}
         assert {"hidden_build", "delays", "supports", "weights", "eval"} <= set(report.timings)
         assert sum(report.timings.values()) <= report.total_seconds + 1e-6
+        assert sum(report.timings.values()) >= 0.98 * report.total_seconds
         assert len(report.chosen_lambda) == ds.n_variables
         assert report.spike_counts.shape == (25,)
         assert report.spike_counts.min() >= 1
         assert len(report.condition_bounds) == ds.n_variables
         assert report.metric_in and report.metric_out
+
+    @pytest.mark.parametrize("target, phase, exc", [
+        ("estimate_delays", "delays", ValueError("injected")),
+        ("solve_with_lambda_search", "weights", np.linalg.LinAlgError("injected")),
+    ])
+    def test_plain_errors_name_their_phase(self, monkeypatch, target, phase, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(f"sswim.train.{target}", fail)
+        with pytest.raises(PipelineError) as info:
+            train_sswim(small_dataset(), ModelArch(hidden=(10,)), small_cfg(), seed=2)
+        assert info.value.phase == phase
+        assert info.value.cause is exc
 
     def test_subbatch_capped_with_warning(self):
         ds = small_dataset(steps=120)

@@ -9,8 +9,6 @@ from sswim.kernels import (
     KernelSpec,
     PlacedKernel,
     Rectification,
-    discretize_placed_kernel,
-    evaluate_kernel,
     kernel_peak_offset,
     pspk,
     rfk,
@@ -21,24 +19,24 @@ ALL_FAMILIES = list(KernelFamily)
 
 class TestEvaluate:
     def test_hat_at_zero(self):
-        assert evaluate_kernel(KernelSpec(KernelFamily.HAT), 0.0) == 1.0
+        assert KernelSpec(KernelFamily.HAT).evaluate(0.0) == 1.0
 
     def test_hat_outside_support(self):
-        assert evaluate_kernel(KernelSpec(KernelFamily.HAT), 1.5) == 0.0
+        assert KernelSpec(KernelFamily.HAT).evaluate(1.5) == 0.0
 
     def test_morlet_at_zero(self):
-        assert evaluate_kernel(KernelSpec(KernelFamily.MORLET), 0.0) == 1.0
+        assert KernelSpec(KernelFamily.MORLET).evaluate(0.0) == 1.0
 
     def test_exp_at_zero(self):
-        assert evaluate_kernel(KernelSpec(KernelFamily.EXP), 0.0) == 1.0
+        assert KernelSpec(KernelFamily.EXP).evaluate(0.0) == 1.0
 
     def test_morlet_formula(self):
         x = 0.3
         expected = math.exp(-3 * x * x) * math.cos(2 * math.pi * x)
-        assert evaluate_kernel(KernelSpec(KernelFamily.MORLET), x) == pytest.approx(expected)
+        assert KernelSpec(KernelFamily.MORLET).evaluate(x) == pytest.approx(expected)
 
     def test_exp_formula(self):
-        assert evaluate_kernel(KernelSpec(KernelFamily.EXP), 0.5) == pytest.approx(
+        assert KernelSpec(KernelFamily.EXP).evaluate(0.5) == pytest.approx(
             math.exp(-0.5)
         )
 
@@ -47,34 +45,31 @@ class TestEvaluate:
         rng = np.random.default_rng(7)
         x = rng.uniform(-50.0, 50.0, size=1000)
         outside = np.abs(x) > 1.0
-        vals = evaluate_kernel(KernelSpec(family), x)
+        vals = KernelSpec(family).evaluate(x)
         assert np.all(vals[outside] == 0.0)
 
     def test_extreme_arguments_do_not_overflow(self):
-        vals = evaluate_kernel(KernelSpec(KernelFamily.EXP), np.array([-1e300, 1e300]))
+        vals = KernelSpec(KernelFamily.EXP).evaluate(np.array([-1e300, 1e300]))
         assert np.all(vals == 0.0)
 
 
 class TestDiscretize:
     def test_hat_unshifted(self):
         pk = PlacedKernel(pspk(KernelFamily.HAT), delay=0.0, support=2.0)
-        sig = discretize_placed_kernel(pk, dt=1.0, grid_len=4)
-        np.testing.assert_allclose(sig.values[0], [1.0, 0.5, 0.0, 0.0])
+        np.testing.assert_allclose(pk.taps(4, dt=1.0), [1.0, 0.5, 0.0, 0.0])
 
     def test_hat_shifted(self):
         pk = PlacedKernel(pspk(KernelFamily.HAT), delay=2.0, support=2.0)
-        sig = discretize_placed_kernel(pk, dt=1.0, grid_len=4)
-        np.testing.assert_allclose(sig.values[0], [0.0, 0.5, 1.0, 0.5])
+        np.testing.assert_allclose(pk.taps(4, dt=1.0), [0.0, 0.5, 1.0, 0.5])
 
     def test_exclusive_exp(self):
         pk = PlacedKernel(rfk(KernelFamily.EXP), delay=0.0, support=1.0)
-        sig = discretize_placed_kernel(pk, dt=1.0, grid_len=3)
-        np.testing.assert_allclose(sig.values[0], [0.0, math.exp(-1.0), 0.0])
+        np.testing.assert_allclose(pk.taps(3, dt=1.0), [0.0, math.exp(-1.0), 0.0])
 
     def test_empty_grid_rejected(self):
         pk = PlacedKernel(pspk(KernelFamily.HAT))
         with pytest.raises(EmptyGridError):
-            discretize_placed_kernel(pk, dt=1.0, grid_len=0)
+            pk.taps(0, dt=1.0)
 
     def test_nonpositive_support_rejected(self):
         with pytest.raises(ValueError):

@@ -263,6 +263,25 @@ class TestSerialization:
             forward(model, x)[0].values, forward(loaded, x)[0].values
         )
 
+    def test_file_holds_the_canonical_bytes(self, tmp_path):
+        from sswim.train import serialize_model_bytes
+
+        model = tiny_model(np.random.default_rng(32))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert path.read_bytes() == serialize_model_bytes(model) + b"\n"
+
+    def test_non_finite_weight_rejected_and_file_kept(self, tmp_path):
+        model = tiny_model()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        before = path.read_bytes()
+        model.layers[-1].weights[0, 1] = np.nan
+        with pytest.raises(ValueError, match="layer 2"):
+            save_model(model, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
     def test_dict_round_trip(self):
         model = tiny_model()
         again = model_from_dict(model_to_dict(model))

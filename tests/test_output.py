@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sswim.errors import SilentNetworkError
+from sswim.errors import LambdaSearchError, SilentNetworkError
 from sswim.kernels import KernelFamily, PlacedKernel, pspk
 from sswim.output import (
     DelayEstimate,
@@ -325,6 +325,26 @@ class TestLambdaSearch:
         lams = np.array([0.01, 0.1, 1.0])
         _, _, chosen = solve_with_lambda_search(ne, vne, lams)
         assert chosen[0] == 1.0
+
+    def test_nan_validation_gram_names_the_neuron(self):
+        # two (delay, support) groups; only the second neuron's validation
+        # Gram is NaN, so every one of its candidate losses is NaN
+        from sswim.output import NormalEquations
+
+        def accumulator():
+            acc = GramAccumulator(2, 1)
+            acc.add_block(np.eye(2), np.array([[1.0], [1.0]]), 1)
+            return acc
+
+        bad = accumulator()
+        bad.gram[:] = np.nan
+        params = dict(group_of_neuron=[(0, 0), (1, 0)],
+                      delays=np.zeros(2), supports=np.array([1.0, 2.0]))
+        ne = NormalEquations(groups=[accumulator(), accumulator()], **params)
+        vne = NormalEquations(groups=[accumulator(), bad], **params)
+        with pytest.raises(LambdaSearchError, match="output neuron 1") as info:
+            solve_with_lambda_search(ne, vne, lambda_grid(4))
+        assert info.value.neuron == 1
 
     def test_validation_picks_generalizing_lambda(self):
         rng = np.random.default_rng(61)
