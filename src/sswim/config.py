@@ -12,8 +12,10 @@ from dataclasses import dataclass, field, fields
 
 import yaml
 
+from .datasets import check_ratios
 from .errors import ConfigError
 from .kernels import KernelFamily
+from .output import SupportCandidates, lambda_grid, support_candidates
 
 
 @dataclass
@@ -60,7 +62,30 @@ class SswimConfig:
             raise ConfigError(f"unknown delay aggregation: {self.delay_aggregation!r}")
         if self.subbatch < 2:
             raise ConfigError("subbatch must be at least 2")
+        # the rules normalize_ms, normalize_fl and temporal_assignment apply
+        # mid-training, checked here so a bad value fails before any compute
+        if not self.mu_target < 1.0:
+            raise ConfigError("mu_target: target mean must lie below the threshold 1")
+        if not self.std_target > 0.0:
+            raise ConfigError("std_target: target std must be positive")
+        if not self.z_target > 0.0:
+            raise ConfigError("z_target: fluctuation factor z must be positive")
+        if not 0.0 < self.sigma_min <= self.sigma_max:
+            raise ConfigError("need 0 < sigma_min <= sigma_max")
+        if self.sigma_cycle < 2:
+            raise ConfigError("sigma_cycle: support cycle length must be at least 2")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be at least 1")
+        try:
+            lambda_grid(self.lambda_count, self.lambda_min, self.lambda_max)
+        except ValueError as exc:
+            raise ConfigError(f"bad lambda grid: {exc}") from exc
         self.metric_candidates = tuple(self.metric_candidates)
+
+    def support_grid(self, horizon: int) -> SupportCandidates:
+        """Output-support candidates; ``support_max`` defaults to 2 * horizon."""
+        hi = self.support_max if self.support_max else 2.0 * horizon
+        return support_candidates(self.support_min, hi, self.support_alpha, self.support_count)
 
 
 @dataclass
@@ -103,7 +128,13 @@ class DatasetConfig:
             raise ConfigError(f"dataset csv does not exist: {self.csv}")
         if self.observation < 1 or self.horizon < 1:
             raise ConfigError("dataset needs positive 'observation' and 'horizon'")
+        if self.stride < 1:
+            raise ConfigError("stride must be at least 1")
         self.ratios = tuple(float(r) for r in self.ratios)
+        try:
+            check_ratios(self.ratios)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -134,6 +165,10 @@ class RunConfig:
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ConfigError("seed list must be nonempty")
+        try:
+            self.sswim.support_grid(self.dataset.horizon)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad support grid: {exc}") from exc
 
 
 def _check_keys(section: dict, allowed, where: str) -> None:

@@ -97,14 +97,19 @@ class ForecastDataset:
         )
 
 
+def check_ratios(ratios) -> None:
+    """Raise ValueError unless ``ratios`` are three non-negative values summing to 1."""
+    if len(ratios) != 3 or any(not r >= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError("ratios must be three non-negative values summing to 1")
+
+
 def split_window_starts(n_windows: int, ratios=(0.7, 0.2, 0.1)) -> dict:
     """Chronological split by cumulative ratio boundaries (floored).
 
     If flooring would leave the training split empty, every window goes to
     train instead.
     """
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("ratios must be three non-negative values summing to 1")
+    check_ratios(ratios)
     train_end = int(np.floor(ratios[0] * n_windows))
     valid_end = int(np.floor((ratios[0] + ratios[1]) * n_windows))
     if train_end == 0:

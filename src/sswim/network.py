@@ -462,5 +462,15 @@ def save_model(model: SnnModel, path) -> None:
 
 
 def load_model(path) -> SnnModel:
+    """Read a model written by ``save_model``.
+
+    ``NaN``, ``Infinity`` and ``-Infinity`` are rejected with a ValueError
+    naming the constant and the file, since ``save_model`` never writes them.
+    """
+    def reject(constant):
+        raise ValueError(
+            f"model file {os.fspath(path)} holds the non-finite value {constant}"
+        )
+
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        return model_from_dict(json.load(fh, parse_constant=reject))

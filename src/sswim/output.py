@@ -4,11 +4,12 @@ Delays come from a correlation analysis: the centered target is summed at
 every spike time shifted by a candidate lag, the magnitudes aggregated
 over samples and hidden neurons, and the lag of the peak taken. Kernel
 supports come from a one-dimensional search over a power-law candidate
-grid, scored by the exact least-squares residual obtained from a thin QR
-factorization of a design matrix shared by all output neurons. The final
-weights and biases solve ridge-regularized normal equations accumulated
-in batches, with the regularization strength selected on a validation
-split via a single symmetric eigendecomposition per neuron.
+grid, scored by the exact least-squares residual of a design matrix shared
+by all output neurons, solved from one eigendecomposition of its Gram
+matrix per candidate. The final weights and biases solve ridge-regularized
+normal equations accumulated in batches, with the regularization strength
+selected on a validation split via a single symmetric eigendecomposition
+per neuron.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EigensolverError, LambdaSearchError, SilentNetworkError
 from .kernels import KernelSpec, PlacedKernel, kernel_peak_offset
@@ -137,18 +137,20 @@ def _stack_targets(targets: np.ndarray) -> np.ndarray:
 
 
 def projection_residuals(design: np.ndarray, stacked_targets: np.ndarray) -> np.ndarray:
-    """||y||^2 - ||Q^T y||^2 per target column, via rank-revealing thin QR."""
-    q, r, _ = scipy.linalg.qr(design, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size and diag[0] > 0.0:
-        tol = max(design.shape) * np.finfo(float).eps * diag[0]
-        rank = int(np.sum(diag > tol))
-    else:
-        rank = 0
-    q = q[:, :rank]
-    y_sq = np.sum(stacked_targets**2, axis=0)
-    proj_sq = np.sum((q.T @ stacked_targets) ** 2, axis=0)
-    return np.maximum(y_sq - proj_sq, 0.0)
+    """Least-squares residual ||y - A c||^2 per target column.
+
+    The minimum-norm coefficients come from the eigendecomposition of the
+    Gram matrix, G = A^T A = V diag(e) V^T: c = V diag(1/e) V^T A^T y over
+    the eigenpairs with e > max(A.shape) * eps * e_max. Silent neurons give
+    zero columns, so G is often singular. The residual is formed directly
+    from y - A c, because ||y||^2 - b^T G^+ b cancels catastrophically when
+    y lies almost in the span of A.
+    """
+    evals, evecs = np.linalg.eigh(design.T @ design)
+    keep = evals > max(design.shape) * np.finfo(float).eps * evals[-1]
+    v = evecs[:, keep]
+    coef = v @ ((v.T @ (design.T @ stacked_targets)) / evals[keep, None])
+    return np.sum((stacked_targets - design @ coef) ** 2, axis=0)
 
 
 def residual_for_candidate(spikes, targets: np.ndarray,
@@ -170,8 +172,11 @@ def select_supports(spikes, targets: np.ndarray, delays: DelayEstimate,
     """Residual-minimizing support per output neuron over the candidate grid.
 
     ``spikes`` is a boolean (samples, neurons, steps) mask or one
-    SpikeTrainSet per sample. One QR factorization per candidate is shared
-    across all output neurons; ties resolve to the smallest candidate.
+    SpikeTrainSet per sample. Each candidate's design is scored for all
+    output neurons at once by ``projection_residuals``. Ties resolve to the
+    smallest candidate: a candidate is tied with the best when its residual
+    exceeds the best by at most max(rows, cols) * eps * ||y||^2, the
+    rounding error of a residual computed from a design of that shape.
     """
     combs = spike_mask(spikes).astype(float)
     stacked = _stack_targets(targets)
@@ -181,7 +186,9 @@ def select_supports(spikes, targets: np.ndarray, delays: DelayEstimate,
             combs, PlacedKernel(pspk_spec, delays.aggregate, float(sigma_c)), window, dt
         )
         residuals[c] = projection_residuals(design, stacked)
-    return candidates.values[np.argmin(residuals, axis=0)]
+    tol = max(design.shape) * np.finfo(float).eps * np.sum(stacked**2, axis=0)
+    tied = residuals <= residuals.min(axis=0) + tol
+    return candidates.values[np.argmax(tied, axis=0)]
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +310,8 @@ def lambda_grid(count: int = 32, lo: float = 1e-5, hi: float = 0.5) -> np.ndarra
     """Logarithmically spaced ridge candidates."""
     if count < 1:
         raise ValueError("need at least one candidate")
+    if not 0.0 < lo <= hi:
+        raise ValueError("need 0 < lo <= hi")
     if count == 1:
         return np.array([lo])
     return np.logspace(np.log10(lo), np.log10(hi), count)

@@ -39,7 +39,6 @@ from .output import (
     lambda_grid,
     select_supports,
     solve_with_lambda_search,
-    support_candidates,
 )
 from .sampling import EmbeddingSpec, Pseudometric, VanRossumLift, select_metrics
 
@@ -136,10 +135,9 @@ def predict_batch(model: SnnModel, inputs: np.ndarray,
     preds = []
     for lo in range(0, inputs.shape[0], batch_size):
         dense = _pad_inputs(inputs[lo: lo + batch_size], total)
-        masks = simulate_hidden_stack(model.layers[:-1], dense, batch_size)[-1]
-        preds.append(
-            output_voltages_batch(model.layers[-1], masks.astype(float), model.grid.window)
-        )
+        masks = simulate_hidden_stack(model.layers[:-1], dense, batch_size)
+        combs = masks[-1].astype(float) if masks else dense
+        preds.append(output_voltages_batch(model.layers[-1], combs, model.grid.window))
     return np.concatenate(preds, axis=0)
 
 
@@ -230,12 +228,8 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
 
     window = (obs_len, total_steps)
     with _phase("supports", timings):
-        support_max = cfg.support_max if cfg.support_max else 2.0 * horizon
-        candidates = support_candidates(
-            cfg.support_min, support_max, cfg.support_alpha, cfg.support_count
-        )
         supports = select_supports(
-            masks_xi, targets_xi, delays, candidates, output_pspk, window
+            masks_xi, targets_xi, delays, cfg.support_grid(horizon), output_pspk, window
         )
 
     with _phase("weights", timings):

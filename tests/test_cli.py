@@ -35,6 +35,35 @@ def write_config(tmp_path, seeds="[1]", extra="", name="run.yaml"):
     return path, out
 
 
+def with_value(text, section, line):
+    """Set one key of a top-level section of a config text."""
+    key = line.split(":")[0]
+    kept = [ln for ln in text.splitlines() if not ln.startswith(f"  {key}:")]
+    at = kept.index(f"{section}:") + 1
+    return "\n".join(kept[:at] + [f"  {line}"] + kept[at:]) + "\n"
+
+
+# (section, line, a fragment the config error must contain)
+BAD_VALUES = [
+    ("sswim", "mu_target: 1.0", "mu_target"),
+    ("sswim", "std_target: 0.0", "std_target"),
+    ("sswim", "z_target: -1.0", "z_target"),
+    ("sswim", "sigma_min: 0.0", "sigma_min"),
+    ("sswim", "sigma_max: 2.0", "sigma_max"),
+    ("sswim", "sigma_cycle: 1", "sigma_cycle"),
+    ("sswim", "support_count: 1", "support grid"),
+    ("sswim", "support_alpha: 0.5", "support grid"),
+    ("sswim", "support_min: 16.0", "support grid"),   # the default support_max is 2 * 8
+    ("sswim", "support_max: 0.5", "support grid"),
+    ("sswim", "lambda_count: 0", "lambda grid"),
+    ("sswim", "lambda_min: 0.0", "lambda grid"),
+    ("sswim", "lambda_max: 1.0e-6", "lambda grid"),
+    ("sswim", "batch_size: 0", "batch_size"),
+    ("dataset", "stride: 0", "stride"),
+    ("dataset", "ratios: [0.5, 0.5, 0.5]", "ratios"),
+]
+
+
 class TestTrainCommand:
     def test_minimal_synth_run(self, tmp_path, capsys):
         cfg, out = write_config(tmp_path)
@@ -67,6 +96,16 @@ class TestTrainCommand:
         )
         assert main(["train", "--config", str(path)]) == 2
         assert "exist.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, line, named", BAD_VALUES,
+                             ids=[line for _, line, _ in BAD_VALUES])
+    def test_bad_value_exits_two_before_any_output(self, tmp_path, capsys, section, line,
+                                                   named):
+        path, out = write_config(tmp_path)
+        path.write_text(with_value(path.read_text(), section, line))
+        assert main(["train", "--config", str(path)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_phase_failure_exits_one_and_names_the_phase(self, tmp_path, monkeypatch,
                                                           capsys):

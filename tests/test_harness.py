@@ -286,10 +286,15 @@ class TestRunAblation:
         assert rows[0]["status"] == "ok"
         assert rows[0]["rse_test"] is not None
 
-    def test_failed_cell_is_flagged_not_fatal(self):
+    def test_failed_cell_is_flagged_not_fatal(self, monkeypatch):
+        # config values are validated when the config is built, so the
+        # cell is made to fail at run time by an injected error
+        def fail(*args, **kwargs):
+            raise ValueError("injected")
+
+        monkeypatch.setattr("sswim.train.build_hidden_layer", fail)
         ds = small_dataset()
-        rows = run_ablation(ds, ModelArch(hidden=(10,)),
-                            small_cfg(subbatch=2, sigma_cycle=1),  # invalid cycle
+        rows = run_ablation(ds, ModelArch(hidden=(10,)), small_cfg(),
                             criteria=("dot",), normalizers=("ms",),
                             neuron_counts=(10,), seeds=(1,))
         assert len(rows) == 1

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -223,6 +224,18 @@ class TestForward:
         p_full, _ = forward(model, x_padded)
         np.testing.assert_array_equal(p_short.values, p_full.values)
 
+    def test_predict_batch_without_hidden_layers_matches_forward(self):
+        from sswim.train import predict_batch
+
+        rng = np.random.default_rng(11)
+        out = output_layer(rng.normal(size=(2, 2)), 0.3, delay=1.0, support=4.0)
+        model = SnnModel(layers=[out], d_in=2, d_out=2,
+                         grid=GridSpec(dt=1.0, total_steps=24, horizon=8))
+        inputs = rng.normal(size=(5, 2, 16))
+        preds = predict_batch(model, inputs, batch_size=2)
+        for x, pred in zip(inputs, preds):
+            np.testing.assert_array_equal(pred, forward(model, x)[0].values)
+
     def test_prediction_is_finite(self):
         model = tiny_model()
         x = np.random.default_rng(4).normal(size=(2, 16))
@@ -281,6 +294,16 @@ class TestSerialization:
             save_model(model, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    def test_non_finite_constant_in_file_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(tiny_model(), path)
+        doc = json.loads(path.read_text())
+        doc["layers"][0]["weights"][0][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"NaN") as info:
+            load_model(path)
+        assert str(path) in str(info.value)
 
     def test_dict_round_trip(self):
         model = tiny_model()

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -150,6 +155,84 @@ class TestProjectionResiduals:
                 sol, *_ = np.linalg.lstsq(design, stacked[:, i], rcond=None)
                 dense_res = float(np.sum((design @ sol - stacked[:, i]) ** 2))
                 assert res[i] == pytest.approx(dense_res, rel=1e-8, abs=1e-10)
+
+
+def lstsq_residuals(design, stacked):
+    sol, *_ = np.linalg.lstsq(design, stacked, rcond=None)
+    return np.sum((stacked - design @ sol) ** 2, axis=0)
+
+
+class TestGramResiduals:
+    """The Gram-matrix residuals against a dense least-squares reference on
+    the singular designs spike data produces."""
+
+    def spike_design(self, rng, silent=(), copies=()):
+        mask = rng.random((12, 8, 24)) < 0.2
+        mask[:, list(silent), :] = False
+        for src, dst in copies:
+            mask[:, dst, :] = mask[:, src, :]
+        return assemble_design(mask.astype(float), PlacedKernel(HAT, 1.0, 5.0), (16, 24))
+
+    @pytest.mark.parametrize("silent, copies", [
+        ((2, 5), ()),                    # silent neurons: zero columns
+        ((), ((0, 3), (1, 6))),          # two neurons with the same train
+        ((4,), ((0, 7),)),               # both at once
+        (tuple(range(8)), ()),           # an all-zero hidden block
+    ])
+    def test_singular_designs_match_lstsq(self, silent, copies):
+        rng = np.random.default_rng(63)
+        for _ in range(5):
+            design = self.spike_design(rng, silent, copies)
+            stacked = rng.normal(size=(design.shape[0], 3))
+            got = projection_residuals(design, stacked)
+            np.testing.assert_allclose(got, lstsq_residuals(design, stacked), rtol=1e-8)
+
+    def test_nearly_representable_target_matches_lstsq(self):
+        # the residual is ~1e-10 of ||y||^2, so ||y||^2 - b^T G^+ b would
+        # lose it to cancellation; the residual of y - A c keeps it
+        rng = np.random.default_rng(65)
+        design = self.spike_design(rng, silent=(2,), copies=((0, 3),))
+        weights = rng.normal(size=(design.shape[1], 3))
+        stacked = design @ weights + 1e-5 * rng.normal(size=(design.shape[0], 3))
+        got = projection_residuals(design, stacked)
+        np.testing.assert_allclose(got, lstsq_residuals(design, stacked), rtol=1e-8)
+
+    def test_select_supports_matches_lstsq_argmin(self):
+        rng = np.random.default_rng(64)
+        window = (16, 24)
+        eps = np.finfo(float).eps
+        for trial in range(20):
+            mask = rng.random((6, 4, 24)) < 0.25
+            mask[:, int(rng.integers(4)), :] = False
+            if trial % 4 == 0:
+                targets = np.full((6, 2, 8), 0.7)  # every candidate ties
+            else:
+                targets = rng.normal(size=(6, 2, 8))
+            cands = support_candidates(1.0, 16.0, 1.5, 8)
+            delays = DelayEstimate(per_neuron=np.zeros(2), aggregate=float(rng.uniform(0, 4)))
+            got = select_supports(mask, targets, delays, cands, HAT, window)
+            stacked = targets.transpose(0, 2, 1).reshape(-1, 2)
+            ref = np.stack([
+                lstsq_residuals(
+                    assemble_design(mask.astype(float),
+                                    PlacedKernel(HAT, delays.aggregate, sigma), window),
+                    stacked,
+                )
+                for sigma in cands.values
+            ])
+            tol = max(stacked.shape[0], mask.shape[1] + 1) * eps * np.sum(stacked**2, axis=0)
+            first_tied = np.argmax(ref <= ref.min(axis=0) + tol, axis=0)
+            np.testing.assert_array_equal(got, cands.values[first_tied])
+
+
+def test_import_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", "import sswim, sys; assert 'scipy' not in sys.modules"],
+        env=env, check=True,
+    )
 
 
 class TestSelectSupports:
