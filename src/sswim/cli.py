@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -114,7 +115,10 @@ def _ablation_row_key(row) -> tuple:
 
 
 def cmd_ablate(args) -> int:
-    from .train import aggregate_ablation, run_ablation
+    """Run the sweep, rewriting the manifest after every finished cell so an
+    interrupted sweep resumes from the cells it had finished."""
+    from .network import write_text_atomic
+    from .train import aggregate_ablation, iter_ablation
 
     cfg = load_run_config(args.config)
     if cfg.ablation is None:
@@ -128,23 +132,23 @@ def cmd_ablate(args) -> int:
             done_rows = json.load(fh)
     done_keys = {tuple(_ablation_row_key(r)) for r in done_rows}
     workers = args.threads if args.threads else cfg.threads
-    new_rows = run_ablation(
+    rows = sorted(done_rows, key=_ablation_row_key)
+    for row in iter_ablation(
         dataset, cfg.arch, cfg.sswim,
         cfg.ablation.criteria, cfg.ablation.normalizers, cfg.ablation.neuron_counts,
         cfg.seeds, workers=workers, skip_cells=done_keys,
-    )
-    rows = done_rows + new_rows
-    rows.sort(key=_ablation_row_key)
-    with open(manifest_path, "w") as fh:
-        json.dump(rows, fh, indent=1)
-    table = rows + aggregate_ablation(rows)
-    with open(os.path.join(out_dir, "ablation.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["criterion", "normalizer", "neurons", "seed", "rse_test", "status"])
-        for row in table:
-            value = "" if row["rse_test"] is None else repr(row["rse_test"])
-            writer.writerow([row["criterion"], row["normalizer"], row["neurons"],
-                             row["seed"], value, row["status"]])
+    ):
+        rows.append(row)
+        rows.sort(key=_ablation_row_key)
+        write_text_atomic(manifest_path, json.dumps(rows, indent=1))
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(["criterion", "normalizer", "neurons", "seed", "rse_test", "status"])
+    for row in rows + aggregate_ablation(rows):
+        value = "" if row["rse_test"] is None else repr(row["rse_test"])
+        writer.writerow([row["criterion"], row["normalizer"], row["neurons"],
+                         row["seed"], value, row["status"]])
+    write_text_atomic(os.path.join(out_dir, "ablation.csv"), table.getvalue())
     print(f"ablation rows={len(rows)} written to {out_dir}/ablation.csv")
     return 0
 

@@ -7,6 +7,7 @@ back to defaults.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -16,6 +17,7 @@ from .datasets import check_ratios
 from .errors import ConfigError
 from .kernels import KernelFamily
 from .output import SupportCandidates, lambda_grid, support_candidates
+from .sampling import EmbeddingSpec
 
 
 @dataclass
@@ -76,11 +78,27 @@ class SswimConfig:
             raise ConfigError("sigma_cycle: support cycle length must be at least 2")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
+        if self.max_retries < 0:
+            raise ConfigError("max_retries must be non-negative")
+        for name in ("epsilon", "sc_epsilon"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
+        if not 0.0 <= self.min_norm < math.inf:
+            raise ConfigError("min_norm must be non-negative and finite")
+        self.metric_candidates = tuple(self.metric_candidates)
+        if not self.metric_candidates:
+            raise ConfigError("metric_candidates must not be empty")
+        metrics = [("metric_candidates", c) for c in self.metric_candidates]
+        metrics += [("metric_in", self.metric_in), ("metric_out", self.metric_out)]
+        for name, text in metrics:
+            try:
+                EmbeddingSpec.parse(str(text))
+            except ValueError as exc:
+                raise ConfigError(f"{name}: bad metric {text!r}: {exc}") from exc
         try:
             lambda_grid(self.lambda_count, self.lambda_min, self.lambda_max)
         except ValueError as exc:
             raise ConfigError(f"bad lambda grid: {exc}") from exc
-        self.metric_candidates = tuple(self.metric_candidates)
 
     def support_grid(self, horizon: int) -> SupportCandidates:
         """Output-support candidates; ``support_max`` defaults to 2 * horizon."""

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNeuronError, TrivialPairError
-from .kernels import KernelSpec, PlacedKernel
-from .network import LayerParams, kernel_conv_matrix
+from .kernels import KernelSpec
+from .network import LayerParams, kernel_conv_stack
 from .sampling import PairProbabilities, Pseudometric, pair_probabilities, sample_pair
 
 STD_FLOOR = 1e-12
@@ -274,9 +274,9 @@ def build_hidden_layer(layer_index: int, n_layers: int, n_neurons: int,
     cost = np.empty(n_neurons)
     chosen_pairs = []
 
+    convs = kernel_conv_stack(pspk_spec, assign.delay, assign.support, n_steps, dt)
     for i in range(n_neurons):
-        pk = PlacedKernel(pspk_spec, float(assign.delay[i]), float(assign.support[i]))
-        conv = kernel_conv_matrix(pk, n_steps, dt)
+        conv = convs[i]
         for attempt in range(cfg.max_retries + 1):
             try:
                 if cfg.weight_criterion == "random":

@@ -63,6 +63,18 @@ class KernelSpec:
         """Analytic family value; rectification only acts on placed kernels."""
         return kernel_value(self.family, x)
 
+    def place(self, t: np.ndarray, delay, support) -> np.ndarray:
+        """Values at times ``t`` (an array) since the placing event of this
+        kernel shifted by ``delay``, stretched by ``support`` and rectified
+        in t. The three arguments broadcast, so one call can place the
+        kernel for many neurons at once."""
+        out = kernel_value(self.family, (t - delay) / support)
+        if self.rectification is Rectification.INCLUSIVE:
+            out = np.where(t >= 0.0, out, 0.0)
+        elif self.rectification is Rectification.EXCLUSIVE:
+            out = np.where(t > 0.0, out, 0.0)
+        return out
+
 
 def pspk(family: KernelFamily | str) -> KernelSpec:
     """Synaptic kernel: inclusive rectification (active from t = 0 on)."""
@@ -102,13 +114,7 @@ class PlacedKernel:
         """Value of the placed kernel at time(s) ``t`` since the placing event."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = kernel_value(self.spec.family, (t - self.delay) / self.support)
-        out = np.atleast_1d(out)
-        if self.spec.rectification is Rectification.INCLUSIVE:
-            out = np.where(t >= 0.0, out, 0.0)
-        elif self.spec.rectification is Rectification.EXCLUSIVE:
-            out = np.where(t > 0.0, out, 0.0)
+        out = self.spec.place(np.atleast_1d(t), self.delay, self.support)
         return float(out[0]) if scalar else out
 
     def taps(self, grid_len: int, dt: float = 1.0) -> np.ndarray:
@@ -121,4 +127,10 @@ class PlacedKernel:
 
     def tap_span(self, dt: float = 1.0) -> int:
         """Number of grid steps after which the placed kernel is surely zero."""
-        return int(np.floor((self.delay + self.support) / dt)) + 1
+        return int(tap_span(self.delay, self.support, dt))
+
+
+def tap_span(delay, support, dt: float = 1.0):
+    """Number of grid steps after which a kernel placed at ``delay`` with
+    ``support`` is surely zero; elementwise over arrays of placements."""
+    return np.floor((np.asarray(delay) + support) / dt).astype(int) + 1

@@ -15,6 +15,17 @@ dense causal convolutions (realized as banded-matrix products, which are
 exact and fast for the short grids used here); responses to spike trains
 place one kernel copy per spike, which is algebraically identical to
 convolving the 0/1 spike indicator with the discretized kernel.
+
+A hidden layer's drive is built in two products: the weights project the
+inputs to one trace per neuron, then one batched ``matmul`` applies the
+layer's conv stack, every neuron's (steps, steps) causal matrix built in
+one pass by ``kernel_conv_stack``. The refractory step loop then runs on a
+time-major (steps, samples, neurons) copy of the drive, so each step reads
+and writes contiguous (samples, neurons) slices; the voltage array is that
+copy updated in place, and the spike mask is written step by step beside
+it. Both are returned as (samples, neurons, steps) views. Each neuron's
+products and each step's sums are the ones a per-neuron, per-step loop
+would do, in the same order, so results are bit for bit those of that loop.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelFamily, KernelSpec, PlacedKernel, Rectification
+from .kernels import KernelFamily, KernelSpec, PlacedKernel, Rectification, tap_span
 from .signals import DiscreteSignal, SpikeTrainSet
 
 THRESHOLD = 1.0
@@ -137,12 +148,18 @@ class SnnModel:
 
 
 def causal_conv_matrix(taps: np.ndarray, n_steps: int) -> np.ndarray:
-    """Banded matrix C with C[t, s] = taps[t - s]; then conv(x) = x @ C.T."""
+    """Banded matrix C with C[t, s] = taps[t - s]; then conv(x) = x @ C.T.
+
+    ``taps`` of shape (neurons, lags) gives one matrix per row, stacked as
+    (neurons, n_steps, n_steps).
+    """
     taps = np.asarray(taps, dtype=float)
-    c = np.zeros((n_steps, n_steps))
-    for d in range(min(taps.size, n_steps)):
-        if taps[d] != 0.0:
-            np.fill_diagonal(c[d:, : n_steps - d], taps[d])
+    c = np.zeros(taps.shape[:-1] + (n_steps, n_steps))
+    flat = c.reshape(taps.shape[:-1] + (n_steps * n_steps,))
+    for d in range(min(taps.shape[-1], n_steps)):
+        if np.any(taps[..., d]):
+            # the d-th subdiagonal C[d + k, k] sits at flat index d*n + k*(n + 1)
+            flat[..., d * n_steps:: n_steps + 1] = taps[..., d, None]
     return c
 
 
@@ -180,10 +197,29 @@ def dense_input(inputs, n_steps: int) -> np.ndarray:
     return vals
 
 
+def kernel_conv_stack(spec: KernelSpec, delay, support, n_steps: int,
+                      dt: float = 1.0) -> np.ndarray:
+    """Causal convolution matrices (neurons, n_steps, n_steps) of ``spec``
+    placed at each neuron's ``delay`` and ``support``; ``x @ C[i].T`` is
+    neuron i's kernel response to ``x``.
+
+    Each neuron's taps end at its own tap span, as ``PlacedKernel.taps``
+    would give them, so slice i equals ``kernel_conv_matrix`` of neuron i.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    delay = np.asarray(delay, dtype=float)[:, None]
+    support = np.asarray(support, dtype=float)[:, None]
+    spans = np.minimum(tap_span(delay, support, dt), n_steps)
+    lags = np.arange(spans.max())
+    taps = np.where(lags < spans, spec.place(lags * dt, delay, support), 0.0)
+    return causal_conv_matrix(taps, n_steps)
+
+
 def kernel_conv_matrix(pk: PlacedKernel, n_steps: int, dt: float = 1.0) -> np.ndarray:
     """Causal convolution matrix of a placed kernel on an ``n_steps`` grid;
     ``x @ C.T`` is the kernel response to ``x``."""
-    return causal_conv_matrix(pk.taps(min(pk.tap_span(dt), n_steps), dt), n_steps)
+    return kernel_conv_stack(pk.spec, [pk.delay], [pk.support], n_steps, dt)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +263,12 @@ def hidden_drive_batch(layer: LayerParams, dense_in: np.ndarray,
     Exploits linearity: the weighted sum of per-channel kernel responses
     equals the kernel response of the weighted input sum.
     """
-    n_steps = dense_in.shape[-1]
+    stack = kernel_conv_stack(layer.pspk, layer.delay, layer.support, dense_in.shape[-1], dt)
     projected = np.matmul(layer.weights, dense_in)  # (M, N, G)
     drive = np.empty_like(projected)
-    for i in range(layer.n_neurons):
-        c = kernel_conv_matrix(layer.placed_kernel(i), n_steps, dt)
-        drive[:, i, :] = projected[:, i, :] @ c.T
+    # one (M, G) @ (G, G) product per neuron, batched over the neuron axis
+    np.matmul(projected.transpose(1, 0, 2), stack.transpose(0, 2, 1),
+              out=drive.transpose(1, 0, 2))
     drive += layer.bias[None, :, None]
     return drive
 
@@ -250,29 +286,33 @@ def refractory_taps(layer: LayerParams, dt: float = 1.0) -> np.ndarray:
 
 def simulate_hidden_batch(layer: LayerParams, dense_in: np.ndarray,
                           dt: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Run a hidden layer over a batch; returns (spike mask, voltages).
+    """Run a hidden layer over a batch; returns (spike mask, voltages),
+    both (samples, neurons, steps).
 
     The time loop is sequential: each step's voltage includes the spike
-    cost of strictly earlier spikes only.
+    cost of strictly earlier spikes only. It runs on time-major
+    (steps, samples, neurons) arrays, so every per-step slice is
+    contiguous; the results are transposed views of them.
     """
     if not layer.is_hidden:
         raise ValueError("simulate_hidden_batch needs a hidden layer")
     drive = hidden_drive_batch(layer, dense_in, dt)
-    n_samples, n_neurons, n_steps = drive.shape
-    q_taps = refractory_taps(layer, dt)
-    max_lag = q_taps.shape[1]
-    cost_taps = layer.spike_cost[:, None] * q_taps  # (N, D)
-    spiked = np.zeros((n_samples, n_neurons, n_steps), dtype=bool)
-    volt = np.empty_like(drive)
-    for t in range(n_steps):
-        v = drive[:, :, t].copy()
-        for d in range(1, min(max_lag, t) + 1):
-            active = cost_taps[:, d - 1]
-            if np.any(active):
-                v += active[None, :] * spiked[:, :, t - d]
-        volt[:, :, t] = v
-        spiked[:, :, t] = v >= THRESHOLD
-    return spiked, volt
+    volt = np.empty((drive.shape[2], drive.shape[0], drive.shape[1]))
+    for m, sample in enumerate(drive):
+        volt[:, m] = sample.T   # sample by sample: each block stays in cache
+    del drive
+    # row d - 1 holds every neuron's spike cost d steps after its spike
+    cost_rows = np.ascontiguousarray((layer.spike_cost[:, None] * refractory_taps(layer, dt)).T)
+    lags = [d for d in range(1, len(cost_rows) + 1) if np.any(cost_rows[d - 1])]
+    spiked = np.empty(volt.shape, dtype=bool)
+    for t in range(volt.shape[0]):
+        v = volt[t]
+        for d in lags:
+            if d > t:
+                break
+            v += cost_rows[d - 1] * spiked[t - d]
+        np.greater_equal(v, THRESHOLD, out=spiked[t])
+    return spiked.transpose(1, 2, 0), volt.transpose(1, 2, 0)
 
 
 def simulate_hidden_stack(layers, dense_in: np.ndarray, chunk: int,
@@ -439,8 +479,7 @@ def save_model(model: SnnModel, path) -> None:
     """Write the model as JSON; floats round-trip exactly via shortest repr.
 
     A non-finite value raises ValueError naming its layer (1-based). The
-    file is written to a temporary name in the same directory and then
-    renamed over ``path``, so an existing file is replaced whole or not at all.
+    file is written with ``write_text_atomic``.
     """
     data = model_to_dict(model)
     for layer_no, layer in enumerate(data["layers"], start=1):
@@ -450,11 +489,16 @@ def save_model(model: SnnModel, path) -> None:
             raise ValueError(
                 f"layer {layer_no} holds a non-finite value; model not saved"
             ) from None
-    text = json.dumps(data, indent=1, allow_nan=False)
+    write_text_atomic(path, json.dumps(data, indent=1, allow_nan=False) + "\n")
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to a temporary name in the same directory, then rename
+    it over ``path``, so an existing file is replaced whole or not at all."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.write(text + "\n")
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

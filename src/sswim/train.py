@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -334,6 +334,15 @@ def run_ablation(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
     do not abort the sweep. ``skip_cells`` may hold already-completed
     (criterion, normalizer, neurons, seed) tuples (resume support).
     """
+    return list(iter_ablation(dataset, arch, cfg, criteria, normalizers, neuron_counts,
+                              seeds, workers, skip_cells))
+
+
+def iter_ablation(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
+                  criteria, normalizers, neuron_counts, seeds,
+                  workers: int = 1, skip_cells=None):
+    """``run_ablation``, yielding each row as soon as its cell finishes
+    (in completion order when ``workers > 1``)."""
     skip_cells = set(skip_cells or ())
     jobs = []
     for criterion in criteria:
@@ -346,10 +355,17 @@ def run_ablation(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
                                      int(neurons), int(seed)))
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_ablation_cell, jobs))
+            futures = [pool.submit(_ablation_cell, job) for job in jobs]
+            try:
+                for future in as_completed(futures):
+                    yield future.result()
+            finally:
+                # a consumer that stops early leaves no queued cell to run
+                for future in futures:
+                    future.cancel()
     else:
-        rows = [_ablation_cell(job) for job in jobs]
-    return rows
+        for job in jobs:
+            yield _ablation_cell(job)
 
 
 def aggregate_ablation(rows) -> list:

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
@@ -59,6 +60,13 @@ BAD_VALUES = [
     ("sswim", "lambda_min: 0.0", "lambda grid"),
     ("sswim", "lambda_max: 1.0e-6", "lambda grid"),
     ("sswim", "batch_size: 0", "batch_size"),
+    ("sswim", "max_retries: -1", "max_retries"),
+    ("sswim", "epsilon: 0.0", "epsilon"),
+    ("sswim", "sc_epsilon: -1.0", "sc_epsilon"),
+    ("sswim", "min_norm: -1.0e-6", "min_norm"),
+    ("sswim", "min_norm: .nan", "min_norm"),
+    ("sswim", "metric_candidates: []", "metric_candidates"),
+    ("sswim", "metric_candidates: [l2, bogus]", "metric_candidates"),
     ("dataset", "stride: 0", "stride"),
     ("dataset", "ratios: [0.5, 0.5, 0.5]", "ratios"),
 ]
@@ -198,6 +206,47 @@ class TestAblateCommand:
         # rerun: nothing new to compute, manifest content unchanged
         assert main(["ablate", "--config", str(cfg)]) == 0
         assert manifest.read_text() == stamp
+
+    def test_pool_sweep_matches_serial_sweep(self, tmp_path):
+        extra = "ablation:\n  criteria: [dot, random]\n  normalizers: [ms]\n  neuron_counts: [12]\n"
+        cfg, _ = write_config(tmp_path, seeds="[1, 2]", extra=extra)
+        for name, threads in (("serial", "1"), ("pool", "2")):
+            assert main(["ablate", "--config", str(cfg), "--threads", threads,
+                         "--out", str(tmp_path / name)]) == 0
+        for name in ("ablation.csv", "ablation_manifest.json"):
+            assert (tmp_path / "pool" / name).read_bytes() == (
+                tmp_path / "serial" / name).read_bytes()
+
+    def test_interrupted_sweep_resumes(self, tmp_path, monkeypatch):
+        import sswim.train
+
+        extra = "ablation:\n  criteria: [dot, random]\n  normalizers: [ms]\n  neuron_counts: [12]\n"
+        cfg, out = write_config(tmp_path, seeds="[1, 2]", extra=extra)
+        assert main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "whole")]) == 0
+        whole = (tmp_path / "whole" / "ablation.csv").read_bytes()
+
+        real_train = sswim.train.train_sswim
+        calls = []
+
+        def interrupt_third_cell(*args, **kwargs):
+            calls.append(args[3])
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(sswim.train, "train_sswim", interrupt_third_cell)
+        with pytest.raises(KeyboardInterrupt):
+            main(["ablate", "--config", str(cfg)])
+        finished = json.loads((out / "ablation_manifest.json").read_text())
+        assert [(r["criterion"], r["seed"], r["status"]) for r in finished] == [
+            ("dot", 1, "ok"), ("dot", 2, "ok")]
+        assert not (out / "ablation.csv").exists()
+        assert [p.name for p in out.iterdir()] == ["ablation_manifest.json"]
+
+        calls.clear()
+        assert main(["ablate", "--config", str(cfg)]) == 0
+        assert calls == [1, 2]   # only the two random cells ran again
+        assert (out / "ablation.csv").read_bytes() == whole
 
 
 class TestInspectCommand:

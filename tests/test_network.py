@@ -3,22 +3,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sswim.kernels import KernelFamily, PlacedKernel, pspk, rfk
 from sswim.network import (
+    THRESHOLD,
     GridSpec,
     LayerParams,
     SnnModel,
     causal_conv_matrix,
     forward,
+    hidden_drive_batch,
+    kernel_conv_matrix,
+    kernel_conv_stack,
     load_model,
     model_from_dict,
     model_to_dict,
     output_voltages,
     psp_contributions,
     psp_window_matrix,
+    refractory_taps,
     save_model,
+    simulate_hidden_batch,
     simulate_hidden_layer,
+    simulate_hidden_stack,
 )
 from sswim.signals import DiscreteSignal, SpikeTrainSet
 
@@ -146,6 +155,182 @@ class TestSimulateHidden:
         )
         for a, b in zip(s_full.trains, s_trunc.trains):
             np.testing.assert_array_equal(a[a <= t0], b[b <= t0])
+
+
+# ---------------------------------------------------------------------------
+# reference simulator: the per-neuron drive loop and the sample-major step
+# loop the simulator is required to reproduce bit for bit
+
+
+def reference_causal_conv_matrix(taps, n_steps):
+    c = np.zeros((n_steps, n_steps))
+    for d in range(min(taps.size, n_steps)):
+        if taps[d] != 0.0:
+            np.fill_diagonal(c[d:, : n_steps - d], taps[d])
+    return c
+
+
+def reference_kernel_conv_matrix(pk, n_steps, dt):
+    return reference_causal_conv_matrix(pk.taps(min(pk.tap_span(dt), n_steps), dt), n_steps)
+
+
+def reference_drive(layer, dense_in, dt):
+    n_steps = dense_in.shape[-1]
+    projected = np.matmul(layer.weights, dense_in)
+    drive = np.empty_like(projected)
+    for i in range(layer.n_neurons):
+        c = reference_kernel_conv_matrix(layer.placed_kernel(i), n_steps, dt)
+        drive[:, i, :] = projected[:, i, :] @ c.T
+    drive += layer.bias[None, :, None]
+    return drive
+
+
+def reference_simulate(layer, dense_in, dt):
+    drive = reference_drive(layer, dense_in, dt)
+    n_samples, n_neurons, n_steps = drive.shape
+    q_taps = refractory_taps(layer, dt)
+    max_lag = q_taps.shape[1]
+    cost_taps = layer.spike_cost[:, None] * q_taps
+    spiked = np.zeros((n_samples, n_neurons, n_steps), dtype=bool)
+    volt = np.empty_like(drive)
+    for t in range(n_steps):
+        v = drive[:, :, t].copy()
+        for d in range(1, min(max_lag, t) + 1):
+            active = cost_taps[:, d - 1]
+            if np.any(active):
+                v += active[None, :] * spiked[:, :, t - d]
+        volt[:, :, t] = v
+        spiked[:, :, t] = v >= THRESHOLD
+    return spiked, volt
+
+
+def reference_stack(layers, dense, chunk, dt):
+    masks = []
+    for layer in layers:
+        mask = np.concatenate([reference_simulate(layer, dense[lo: lo + chunk], dt)[0]
+                               for lo in range(0, dense.shape[0], chunk)])
+        masks.append(mask)
+        dense = mask.astype(float)
+    return masks
+
+
+def random_hidden_layer(rng, n_neurons, n_inputs, family, input_scale=1.0):
+    """Mixed delays and supports, 1-4 refractory lags at dt = 1, a spread of
+    costs with neuron 0 at zero cost, and biases that make neurons fire."""
+    return LayerParams(
+        weights=rng.normal(size=(n_neurons, n_inputs)) * input_scale,
+        bias=rng.uniform(0.3, 1.1, n_neurons),
+        delay=rng.uniform(0.0, 9.0, n_neurons),
+        support=rng.uniform(0.6, 14.0, n_neurons),
+        pspk=pspk(family),
+        spike_cost=np.concatenate([[0.0], -rng.uniform(0.2, 2.5, n_neurons - 1)]),
+        rf_support=rng.choice([1.0, 2.5, 3.0, 4.5], n_neurons),
+        rfk=rfk(KernelFamily.EXP),
+    )
+
+
+class TestSimulatorMatchesReference:
+    N_SAMPLES, N_NEURONS, N_STEPS = 5, 9, 37   # all distinct, to pin the axis order
+
+    def setup(self, family, dt, seed=0):
+        rng = np.random.default_rng(seed)
+        layers = [random_hidden_layer(rng, self.N_NEURONS, 3, family),
+                  random_hidden_layer(rng, 6, self.N_NEURONS, family, input_scale=0.6)]
+        dense = rng.normal(size=(self.N_SAMPLES, 3, self.N_STEPS))
+        return layers, dense
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    def test_drive_masks_and_voltages_are_bit_identical(self, family, dt):
+        layers, dense = self.setup(family, dt)
+        layer = layers[0]
+        drive = hidden_drive_batch(layer, dense, dt)
+        assert drive.shape == (self.N_SAMPLES, self.N_NEURONS, self.N_STEPS)
+        assert drive.tobytes() == reference_drive(layer, dense, dt).tobytes()
+        spiked, volt = simulate_hidden_batch(layer, dense, dt)
+        ref_spiked, ref_volt = reference_simulate(layer, dense, dt)
+        assert spiked.shape == volt.shape == (self.N_SAMPLES, self.N_NEURONS, self.N_STEPS)
+        assert spiked.tobytes() == ref_spiked.tobytes()
+        assert volt.tobytes() == ref_volt.tobytes()
+        # the case mix is live: spikes, silences and refractory lags all occur
+        assert 0 < spiked.mean() < 1
+        assert 1 <= refractory_taps(layer, dt).shape[1]
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    @pytest.mark.parametrize("chunk", [2, 5])
+    def test_stack_masks_are_bit_identical(self, family, chunk):
+        layers, dense = self.setup(family, 1.0, seed=1)
+        masks = simulate_hidden_stack(layers, dense, chunk)
+        expected = reference_stack(layers, dense, chunk, 1.0)
+        assert [m.shape for m in masks] == [m.shape for m in expected]
+        for mask, ref in zip(masks, expected):
+            assert mask.tobytes() == ref.tobytes()
+        assert masks[-1].any()
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    def test_conv_stack_equals_per_neuron_matrices(self, family, dt):
+        layer = self.setup(family, dt)[0][0]
+        stack = kernel_conv_stack(layer.pspk, layer.delay, layer.support, self.N_STEPS, dt)
+        assert stack.shape == (self.N_NEURONS, self.N_STEPS, self.N_STEPS)
+        for i in range(self.N_NEURONS):
+            pk = layer.placed_kernel(i)
+            assert stack[i].tobytes() == kernel_conv_matrix(pk, self.N_STEPS, dt).tobytes()
+            assert stack[i].tobytes() == reference_kernel_conv_matrix(
+                pk, self.N_STEPS, dt).tobytes()
+
+    def test_one_dimensional_builder_keeps_its_result(self):
+        rng = np.random.default_rng(4)
+        for n_taps, n_steps in ((5, 12), (12, 5), (1, 1), (7, 7)):
+            taps = rng.normal(size=n_taps)
+            taps[rng.random(n_taps) < 0.3] = 0.0
+            got = causal_conv_matrix(taps, n_steps)
+            assert got.shape == (n_steps, n_steps)
+            assert got.tobytes() == reference_causal_conv_matrix(taps, n_steps).tobytes()
+            stacked = causal_conv_matrix(np.stack([taps, 2.0 * taps]), n_steps)
+            assert stacked[0].tobytes() == got.tobytes()
+            assert stacked[1].tobytes() == causal_conv_matrix(2.0 * taps, n_steps).tobytes()
+
+
+@st.composite
+def simulator_cases(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_samples = draw(st.integers(1, 4))
+    n_steps = draw(st.integers(2, 40))
+    rng = np.random.default_rng(seed)
+    layer = random_hidden_layer(rng, draw(st.integers(1, 6)), draw(st.integers(1, 3)),
+                                draw(st.sampled_from(list(KernelFamily))))
+    dense = rng.normal(size=(n_samples, layer.n_inputs, n_steps))
+    dt = draw(st.sampled_from([1.0, 0.5]))
+    return layer, dense, dt
+
+
+class TestSimulatorProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(case=simulator_cases(), frac=st.floats(0.0, 1.0))
+    def test_zeroing_the_future_leaves_the_past_bit_identical(self, case, frac):
+        layer, dense, dt = case
+        t0 = int(frac * (dense.shape[-1] - 1))
+        truncated = dense.copy()
+        truncated[:, :, t0 + 1:] = 0.0
+        spiked, volt = simulate_hidden_batch(layer, dense, dt)
+        spiked_t, volt_t = simulate_hidden_batch(layer, truncated, dt)
+        assert spiked[..., : t0 + 1].tobytes() == spiked_t[..., : t0 + 1].tobytes()
+        assert volt[..., : t0 + 1].tobytes() == volt_t[..., : t0 + 1].tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=simulator_cases())
+    def test_a_batch_simulates_like_each_sample_alone(self, case):
+        # OpenBLAS picks its dgemm kernel by matrix size, so a sample's drive
+        # in a batch can differ from its drive alone in the last bit, at the
+        # parent's per-neuron loop as well; the voltages agree to that
+        # rounding and the masks exactly
+        layer, dense, dt = case
+        spiked, volt = simulate_hidden_batch(layer, dense, dt)
+        for m in range(dense.shape[0]):
+            spiked_1, volt_1 = simulate_hidden_batch(layer, dense[m: m + 1], dt)
+            np.testing.assert_array_equal(spiked_1[0], spiked[m])
+            np.testing.assert_allclose(volt_1[0], volt[m], rtol=0, atol=1e-12)
 
 
 class TestOutputVoltages:
