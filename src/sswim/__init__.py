@@ -24,7 +24,6 @@ from .hidden import (
     normalize_fl,
     normalize_ms,
     temporal_assignment,
-    voltage_stats,
     weight_dist,
     weight_dot,
     weight_random,
@@ -42,12 +41,8 @@ from .network import (
     GridSpec,
     LayerParams,
     SnnModel,
-    forward,
     load_model,
-    output_voltages,
-    psp_contributions,
     save_model,
-    simulate_hidden_layer,
 )
 from .output import (
     DelayEstimate,
@@ -73,7 +68,7 @@ from .sampling import (
     select_metrics,
     shannon_entropy,
 )
-from .signals import DiscreteSignal, SpikeTrainSet
+from .signals import SpikeTrainSet
 from .train import (
     RunReport,
     evaluate_split,

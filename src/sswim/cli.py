@@ -17,6 +17,7 @@ import sys
 
 from .config import RunConfig, load_run_config
 from .errors import ConfigError, SswimError
+from .network import write_text_atomic
 
 OUT_DIR_ENV = "SSWIM_OUT"
 
@@ -41,20 +42,20 @@ def _resolve_out_dir(cfg_out: str, flag_out: str | None) -> str:
 
 
 def _write_lines(path: str, lines) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _write_predictions_csv(path: str, starts, predictions, targets) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_start", "channel", "step", "prediction", "target"])
-        for w, start in enumerate(starts):
-            for c in range(predictions.shape[1]):
-                for h in range(predictions.shape[2]):
-                    writer.writerow(
-                        [int(start), c, h, repr(predictions[w, c, h]), repr(targets[w, c, h])]
-                    )
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(["window_start", "channel", "step", "prediction", "target"])
+    for w, start in enumerate(starts):
+        for c in range(predictions.shape[1]):
+            for h in range(predictions.shape[2]):
+                writer.writerow(
+                    [int(start), c, h, repr(predictions[w, c, h]), repr(targets[w, c, h])]
+                )
+    write_text_atomic(path, table.getvalue())
 
 
 def cmd_train(args) -> int:
@@ -117,7 +118,6 @@ def _ablation_row_key(row) -> tuple:
 def cmd_ablate(args) -> int:
     """Run the sweep, rewriting the manifest after every finished cell so an
     interrupted sweep resumes from the cells it had finished."""
-    from .network import write_text_atomic
     from .train import aggregate_ablation, iter_ablation
 
     cfg = load_run_config(args.config)

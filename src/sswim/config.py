@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import yaml
 
@@ -165,6 +165,11 @@ class AblationConfig:
         self.criteria = tuple(self.criteria)
         self.normalizers = tuple(self.normalizers)
         self.neuron_counts = tuple(int(n) for n in self.neuron_counts)
+        for name in ("criteria", "normalizers", "neuron_counts"):
+            if not getattr(self, name):
+                raise ConfigError(f"ablation {name} must not be empty")
+        if min(self.neuron_counts) < 1:
+            raise ConfigError("ablation neuron_counts must be at least 1")
 
 
 @dataclass
@@ -187,6 +192,17 @@ class RunConfig:
             self.sswim.support_grid(self.dataset.horizon)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad support grid: {exc}") from exc
+        if self.ablation is not None:
+            # each sweep cell trains with these values; check them as SswimConfig does
+            for name, key, values in (
+                ("criteria", "weight_criterion", self.ablation.criteria),
+                ("normalizers", "normalizer", self.ablation.normalizers),
+            ):
+                for value in values:
+                    try:
+                        replace(self.sswim, **{key: value})
+                    except ConfigError as exc:
+                        raise ConfigError(f"ablation {name}: {exc}") from exc
 
 
 def _check_keys(section: dict, allowed, where: str) -> None:

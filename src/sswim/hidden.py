@@ -171,16 +171,6 @@ class VoltageStatsAccumulator:
         )
 
 
-def voltage_stats(weights: np.ndarray, psp_stream) -> VoltageStats:
-    """Single pass over per-sample contributions projected onto ``weights``."""
-    weights = np.asarray(weights, dtype=float)
-    acc = VoltageStatsAccumulator()
-    for psp in psp_stream:
-        vals = psp.values if hasattr(psp, "values") else np.asarray(psp, dtype=float)
-        acc.add_trace(weights @ vals)
-    return acc.result()
-
-
 # ---------------------------------------------------------------------------
 # normalizers
 

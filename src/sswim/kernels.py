@@ -125,10 +125,6 @@ class PlacedKernel:
             raise ValueError(f"dt must be positive, got {dt}")
         return self.sample_at(np.arange(grid_len) * dt)
 
-    def tap_span(self, dt: float = 1.0) -> int:
-        """Number of grid steps after which the placed kernel is surely zero."""
-        return int(tap_span(self.delay, self.support, dt))
-
 
 def tap_span(delay, support, dt: float = 1.0):
     """Number of grid steps after which a kernel placed at ``delay`` with

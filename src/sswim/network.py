@@ -10,12 +10,6 @@ Simulation is strictly causal and discrete: one threshold test per neuron
 per step, at most one spike per step, and the refractory term only ever
 sees strictly past spikes.
 
-Implementation notes: responses to real-valued inputs are computed as
-dense causal convolutions (realized as banded-matrix products, which are
-exact and fast for the short grids used here); responses to spike trains
-place one kernel copy per spike, which is algebraically identical to
-convolving the 0/1 spike indicator with the discretized kernel.
-
 A hidden layer's drive is built in two products: the weights project the
 inputs to one trace per neuron, then one batched ``matmul`` applies the
 layer's conv stack, every neuron's (steps, steps) causal matrix built in
@@ -37,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import KernelFamily, KernelSpec, PlacedKernel, Rectification, tap_span
-from .signals import DiscreteSignal, SpikeTrainSet
 
 THRESHOLD = 1.0
 
@@ -176,27 +169,6 @@ def psp_window_matrix(pk: PlacedKernel, n_steps: int, window: tuple[int, int],
     return pk.sample_at(h[None, :] - t[:, None])
 
 
-def dense_input(inputs, n_steps: int) -> np.ndarray:
-    """Channels-by-steps matrix for a signal or spike train set, zero-padded."""
-    if isinstance(inputs, SpikeTrainSet):
-        if inputs.n_steps != n_steps:
-            raise ValueError(
-                f"spike trains live on {inputs.n_steps} steps, expected {n_steps}"
-            )
-        return inputs.to_dense()
-    if isinstance(inputs, DiscreteSignal):
-        vals = inputs.values
-    else:
-        vals = np.asarray(inputs, dtype=float)
-    if vals.shape[1] > n_steps:
-        raise ValueError(f"input has {vals.shape[1]} steps, grid only {n_steps}")
-    if vals.shape[1] < n_steps:
-        padded = np.zeros((vals.shape[0], n_steps))
-        padded[:, : vals.shape[1]] = vals
-        vals = padded
-    return vals
-
-
 def kernel_conv_stack(spec: KernelSpec, delay, support, n_steps: int,
                       dt: float = 1.0) -> np.ndarray:
     """Causal convolution matrices (neurons, n_steps, n_steps) of ``spec``
@@ -220,40 +192,6 @@ def kernel_conv_matrix(pk: PlacedKernel, n_steps: int, dt: float = 1.0) -> np.nd
     """Causal convolution matrix of a placed kernel on an ``n_steps`` grid;
     ``x @ C.T`` is the kernel response to ``x``."""
     return kernel_conv_stack(pk.spec, [pk.delay], [pk.support], n_steps, dt)[0]
-
-
-# ---------------------------------------------------------------------------
-# single-sample operations (the public contract)
-
-
-def psp_contributions(layer: LayerParams, neuron: int, inputs,
-                      window: tuple[int, int] | None = None,
-                      dt: float = 1.0) -> DiscreteSignal:
-    """Kernel responses of one neuron to every input channel.
-
-    Real-valued inputs are causally convolved with the neuron's placed
-    kernel; spike inputs receive one kernel copy per spike. The result is
-    restricted to ``window`` if given.
-    """
-    if isinstance(inputs, SpikeTrainSet):
-        n_steps = inputs.n_steps
-    else:
-        vals = inputs.values if isinstance(inputs, DiscreteSignal) else np.asarray(inputs)
-        n_steps = vals.shape[1]
-    dense = dense_input(inputs, n_steps)
-    if dense.shape[0] != layer.n_inputs:
-        raise ValueError(
-            f"layer expects {layer.n_inputs} input channels, got {dense.shape[0]}"
-        )
-    if window is None:
-        window = (0, n_steps)
-    if isinstance(inputs, SpikeTrainSet):
-        k = psp_window_matrix(layer.placed_kernel(neuron), n_steps, window, dt)
-        out = dense @ k
-    else:
-        c = kernel_conv_matrix(layer.placed_kernel(neuron), n_steps, dt)
-        out = (dense @ c.T)[:, window[0]: window[1]]
-    return DiscreteSignal(values=out, dt=dt)
 
 
 def hidden_drive_batch(layer: LayerParams, dense_in: np.ndarray,
@@ -331,31 +269,6 @@ def simulate_hidden_stack(layers, dense_in: np.ndarray, chunk: int,
     return masks
 
 
-def simulate_hidden_layer(layer: LayerParams, inputs,
-                          window: tuple[int, int] | None = None,
-                          dt: float = 1.0) -> tuple[SpikeTrainSet, DiscreteSignal]:
-    """Simulate one hidden layer on a single sample."""
-    if isinstance(inputs, SpikeTrainSet):
-        n_steps = inputs.n_steps
-    elif isinstance(inputs, DiscreteSignal):
-        n_steps = inputs.n_steps
-    else:
-        n_steps = np.asarray(inputs).shape[1]
-    dense = dense_input(inputs, n_steps)[None, :, :]
-    if dense.shape[1] != layer.n_inputs:
-        raise ValueError(
-            f"layer expects {layer.n_inputs} input channels, got {dense.shape[1]}"
-        )
-    spiked, volt = simulate_hidden_batch(layer, dense, dt)
-    if window is None:
-        window = (0, n_steps)
-    lo, hi = window
-    mask = np.zeros_like(spiked[0])
-    mask[:, lo:hi] = spiked[0, :, lo:hi]
-    trains = SpikeTrainSet.from_dense(mask)
-    return trains, DiscreteSignal(values=volt[0, :, lo:hi], dt=dt)
-
-
 def output_voltages_batch(layer: LayerParams, dense_spikes: np.ndarray,
                           window: tuple[int, int], dt: float = 1.0) -> np.ndarray:
     """Affine read-out on a window for a batch of spike indicators."""
@@ -368,34 +281,6 @@ def output_voltages_batch(layer: LayerParams, dense_spikes: np.ndarray,
         out[:, i, :] = np.tensordot(psp, layer.weights[i], axes=([1], [0]))
         out[:, i, :] += layer.bias[i]
     return out
-
-
-def output_voltages(layer: LayerParams, spikes: SpikeTrainSet,
-                    window: tuple[int, int], dt: float = 1.0) -> DiscreteSignal:
-    """Model prediction of the output layer on the forecast window."""
-    if layer.is_hidden:
-        raise ValueError("output_voltages needs the non-spiking output layer")
-    if spikes.n_neurons != layer.n_inputs:
-        raise ValueError(
-            f"layer expects {layer.n_inputs} input trains, got {spikes.n_neurons}"
-        )
-    dense = spikes.to_dense()[None, :, :]
-    vals = output_voltages_batch(layer, dense, window, dt)[0]
-    return DiscreteSignal(values=vals, dt=dt)
-
-
-def forward(model: SnnModel, x) -> tuple[DiscreteSignal, list]:
-    """Full forward pass: prediction on [T, T+H) and all hidden spike trains."""
-    n_steps = model.grid.total_steps
-    dense = dense_input(x, n_steps)
-    if dense.shape[0] != model.d_in:
-        raise ValueError(f"model expects {model.d_in} input channels, got {dense.shape[0]}")
-    batch = dense[None, :, :]
-    masks = simulate_hidden_stack(model.layers[:-1], batch, 1, model.grid.dt)
-    combs = masks[-1].astype(float) if masks else batch
-    vals = output_voltages_batch(model.layers[-1], combs, model.grid.window, model.grid.dt)[0]
-    hidden_spikes = [SpikeTrainSet.from_dense(mask[0]) for mask in masks]
-    return DiscreteSignal(values=vals, dt=model.grid.dt), hidden_spikes
 
 
 # ---------------------------------------------------------------------------
@@ -459,20 +344,24 @@ def model_to_dict(model: SnnModel) -> dict:
 
 
 def model_from_dict(d: dict) -> SnnModel:
-    if d.get("format") != "sswim-model-v1":
+    """Inverse of ``model_to_dict``; a missing field raises ValueError naming it."""
+    if not isinstance(d, dict) or d.get("format") != "sswim-model-v1":
         raise ValueError("not a recognized model file")
-    grid = GridSpec(
-        dt=d["grid"]["dt"],
-        total_steps=d["grid"]["total_steps"],
-        horizon=d["grid"]["horizon"],
-    )
-    return SnnModel(
-        layers=[_layer_from_dict(ld) for ld in d["layers"]],
-        d_in=d["d_in"],
-        d_out=d["d_out"],
-        grid=grid,
-        metadata=d.get("metadata", {}),
-    )
+    try:
+        grid = GridSpec(
+            dt=d["grid"]["dt"],
+            total_steps=d["grid"]["total_steps"],
+            horizon=d["grid"]["horizon"],
+        )
+        return SnnModel(
+            layers=[_layer_from_dict(ld) for ld in d["layers"]],
+            d_in=d["d_in"],
+            d_out=d["d_out"],
+            grid=grid,
+            metadata=d.get("metadata", {}),
+        )
+    except KeyError as exc:
+        raise ValueError(f"model has no {exc.args[0]!r} field") from None
 
 
 def save_model(model: SnnModel, path) -> None:
@@ -510,6 +399,8 @@ def load_model(path) -> SnnModel:
 
     ``NaN``, ``Infinity`` and ``-Infinity`` are rejected with a ValueError
     naming the constant and the file, since ``save_model`` never writes them.
+    A file that ``model_from_dict`` refuses raises its ValueError, prefixed
+    with the path.
     """
     def reject(constant):
         raise ValueError(
@@ -517,4 +408,8 @@ def load_model(path) -> SnnModel:
         )
 
     with open(path) as fh:
-        return model_from_dict(json.load(fh, parse_constant=reject))
+        doc = json.load(fh, parse_constant=reject)
+    try:
+        return model_from_dict(doc)
+    except ValueError as exc:
+        raise ValueError(f"model file {os.fspath(path)}: {exc}") from None

@@ -227,21 +227,6 @@ class GramAccumulator:
         self.target_sq += np.sum(targets**2, axis=0)
         self.count += n_samples
 
-    def merge(self, other: "GramAccumulator") -> "GramAccumulator":
-        if (self.n_features, self.n_targets) != (other.n_features, other.n_targets):
-            raise ValueError("accumulators have different shapes")
-        out = GramAccumulator(self.n_features, self.n_targets)
-        out.gram = self.gram + other.gram
-        out.rhs = self.rhs + other.rhs
-        out.target_sq = self.target_sq + other.target_sq
-        out.count = self.count + other.count
-        return out
-
-    def validate(self, tol: float = 1e-8) -> None:
-        asym = np.max(np.abs(self.gram - self.gram.T))
-        if asym > tol:
-            raise ValueError(f"gram matrix asymmetry {asym:.3e} exceeds {tol:.0e}")
-
 
 @dataclass
 class NormalEquations:

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DegenerateDistributionError
 from .kernels import KernelSpec, PlacedKernel
 from .network import kernel_conv_matrix
-from .signals import DiscreteSignal, SpikeTrainSet
+from .signals import SpikeTrainSet
 
 
 @dataclass(frozen=True)
@@ -58,16 +58,8 @@ class EmbeddingSpec:
         return cls(text)
 
 
-def center_rows(values: np.ndarray) -> np.ndarray:
-    """Subtract each channel's temporal mean."""
-    return values - values.mean(axis=-1, keepdims=True)
-
-
 def embed(spec: EmbeddingSpec, values, dt: float = 1.0) -> np.ndarray:
     """Apply an embedding to a (channels, steps) array; may return complex."""
-    if isinstance(values, DiscreteSignal):
-        dt = values.dt
-        values = values.values
     values = np.asarray(values, dtype=float)
     if spec.kind == "l2":
         return values.copy()
@@ -102,9 +94,6 @@ class VanRossumLift:
     kernel: KernelSpec
     support: float = 1.0
 
-    def apply(self, trains: SpikeTrainSet, dt: float = 1.0) -> np.ndarray:
-        return self.apply_batch(trains.to_dense(), dt)
-
     def apply_batch(self, dense_combs: np.ndarray, dt: float = 1.0) -> np.ndarray:
         pk = PlacedKernel(self.kernel, 0.0, self.support)
         return dense_combs @ kernel_conv_matrix(pk, dense_combs.shape[-1], dt).T
@@ -123,23 +112,10 @@ class Pseudometric:
             return self.embedding.name
         return f"vr[{self.lift.kernel.family.value}]+{self.embedding.name}"
 
-    def _to_dense(self, sample, dt: float) -> np.ndarray:
-        if isinstance(sample, SpikeTrainSet):
-            if self.lift is None:
-                raise ValueError("spike-train inputs need a pseudometric with a lift")
-            return self.lift.apply(sample, dt)
-        if isinstance(sample, DiscreteSignal):
-            return sample.values
-        return np.asarray(sample, dtype=float)
-
-    def prepare(self, sample, dt: float = 1.0) -> np.ndarray:
-        """Centered, embedded, quadrature-weighted flat vector of one sample."""
-        dense = self._to_dense(sample, dt)
-        emb = embed(self.embedding, center_rows(dense), dt)
-        return (emb * np.sqrt(dt)).ravel()
-
     def prepare_batch(self, dense: np.ndarray, dt: float = 1.0) -> np.ndarray:
-        """Same as prepare, vectorized over a (samples, channels, steps) array."""
+        """Centered, embedded, quadrature-weighted flat vector per sample of a
+        (samples, channels, steps) array, lifted first when the metric has a
+        lift."""
         if self.lift is not None:
             dense = self.lift.apply_batch(dense, dt)
         centered = dense - dense.mean(axis=-1, keepdims=True)
@@ -154,8 +130,16 @@ class Pseudometric:
         return np.sqrt(np.sum(centered * centered, axis=-1) * dt)
 
     def distance(self, a, b, dt: float = 1.0) -> float:
-        va = self.prepare(a, dt)
-        vb = self.prepare(b, dt)
+        """Distance between two (channels, steps) samples; a SpikeTrainSet
+        is taken as its 0/1 indicator and needs a metric with a lift."""
+        pair = []
+        for sample in (a, b):
+            if isinstance(sample, SpikeTrainSet):
+                if self.lift is None:
+                    raise ValueError("spike-train inputs need a pseudometric with a lift")
+                sample = sample.to_dense()
+            pair.append(np.asarray(sample, dtype=float))
+        va, vb = self.prepare_batch(np.stack(pair), dt)
         return float(np.linalg.norm(va - vb))
 
     def pairwise(self, dense: np.ndarray, dt: float = 1.0) -> np.ndarray:

@@ -1,11 +1,12 @@
-"""Core containers for gridded signals and spike trains.
+"""Spike trains at the API boundary.
 
 Everything in the package lives on a uniform time grid with step ``dt``
-(1 timestep by default). Real-valued signals are dense channel-by-step
-matrices. Inside the package, spikes are boolean masks of shape
-(samples, neurons, steps). ``SpikeTrainSet`` (sorted step indices per
-neuron) is the API boundary type: public functions that accept a list of
-them convert it once with ``spike_mask`` and then work on the mask.
+(1 timestep by default) and works on batches: real-valued signals are
+dense (samples, channels, steps) arrays and spikes are boolean masks of
+shape (samples, neurons, steps). ``SpikeTrainSet`` (sorted step indices
+per neuron, one sample) is the only boundary type: public functions that
+accept a list of them convert it once with ``spike_mask`` and then work on
+the mask.
 """
 
 from __future__ import annotations
@@ -13,33 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-@dataclass
-class DiscreteSignal:
-    """Multivariate real-valued function sampled on a uniform time grid."""
-
-    values: np.ndarray  # (channels, steps)
-    dt: float = 1.0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError(f"signal values must be 2-D, got shape {self.values.shape}")
-        if self.values.shape[0] < 1:
-            raise ValueError("signal needs at least one channel")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("signal contains non-finite entries")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-
-    @property
-    def n_channels(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass
@@ -75,9 +49,6 @@ class SpikeTrainSet:
 
     def counts(self) -> np.ndarray:
         return np.array([t.size for t in self.trains], dtype=np.int64)
-
-    def total_spikes(self) -> int:
-        return int(self.counts().sum())
 
     def to_dense(self) -> np.ndarray:
         """0/1 spike indicator matrix of shape (neurons, steps)."""

@@ -130,14 +130,16 @@ def _collect_split_spikes(layers, dataset: ForecastDataset, starts,
 
 def predict_batch(model: SnnModel, inputs: np.ndarray,
                   batch_size: int = 256) -> np.ndarray:
-    """Predictions (samples, d_out, horizon) for raw observation windows."""
-    total = model.grid.total_steps
+    """The forward pass: predictions (samples, d_out, horizon) on the
+    forecast window for raw (samples, d_in, steps) observation windows,
+    zero-padded to the model's grid and simulated with its ``dt``."""
+    grid = model.grid
     preds = []
     for lo in range(0, inputs.shape[0], batch_size):
-        dense = _pad_inputs(inputs[lo: lo + batch_size], total)
-        masks = simulate_hidden_stack(model.layers[:-1], dense, batch_size)
+        dense = _pad_inputs(inputs[lo: lo + batch_size], grid.total_steps)
+        masks = simulate_hidden_stack(model.layers[:-1], dense, batch_size, grid.dt)
         combs = masks[-1].astype(float) if masks else dense
-        preds.append(output_voltages_batch(model.layers[-1], combs, model.grid.window))
+        preds.append(output_voltages_batch(model.layers[-1], combs, grid.window, grid.dt))
     return np.concatenate(preds, axis=0)
 
 

@@ -71,6 +71,18 @@ BAD_VALUES = [
     ("dataset", "ratios: [0.5, 0.5, 0.5]", "ratios"),
 ]
 
+ABLATION = "ablation:\n  criteria: [dot]\n  normalizers: [ms]\n  neuron_counts: [12]\n"
+
+# (ablation line, a fragment the config error must contain)
+BAD_ABLATIONS = [
+    ("criteria: [dot, bogus]", "criteria"),
+    ("normalizers: [ms, zz]", "normalizers"),
+    ("neuron_counts: [12, 0]", "neuron_counts"),
+    ("criteria: []", "criteria"),
+    ("normalizers: []", "normalizers"),
+    ("neuron_counts: []", "neuron_counts"),
+]
+
 
 class TestTrainCommand:
     def test_minimal_synth_run(self, tmp_path, capsys):
@@ -139,6 +151,28 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 0
         assert (out / "model_seed1.json").read_bytes() == first
         assert (out / "predictions_seed1.csv").read_bytes() == first_preds
+        assert not list(out.glob("*.tmp"))
+
+    def test_result_files_keep_the_plain_writer_bytes(self, tmp_path):
+        from sswim.cli import _write_lines, _write_predictions_csv
+
+        rng = np.random.default_rng(3)
+        preds, targets = rng.normal(size=(2, 2, 3)), rng.normal(size=(2, 2, 3))
+        _write_predictions_csv(tmp_path / "new.csv", [5, 9], preds, targets)
+        with open(tmp_path / "old.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["window_start", "channel", "step", "prediction", "target"])
+            for w, start in enumerate([5, 9]):
+                for c in range(2):
+                    for h in range(3):
+                        writer.writerow([start, c, h, repr(preds[w, c, h]),
+                                         repr(targets[w, c, h])])
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert new.count(b"\r\n") == 1 + 2 * 2 * 3
+        _write_lines(tmp_path / "report.txt", ["seed=1", "rse_test=0.5"])
+        assert (tmp_path / "report.txt").read_bytes() == b"seed=1\nrse_test=0.5\n"
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_out_env_var_overrides(self, tmp_path, monkeypatch):
         cfg, _ = write_config(tmp_path)
@@ -178,6 +212,15 @@ class TestEvalCommand:
 
 
 class TestAblateCommand:
+    @pytest.mark.parametrize("line, named", BAD_ABLATIONS,
+                             ids=[line for line, _ in BAD_ABLATIONS])
+    def test_bad_ablation_exits_two_before_any_output(self, tmp_path, capsys, line, named):
+        path, out = write_config(tmp_path, extra=ABLATION)
+        path.write_text(with_value(path.read_text(), "ablation", line))
+        assert main(["ablate", "--config", str(path)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_cell_sweep(self, tmp_path):
         extra = "ablation:\n  criteria: [dot]\n  normalizers: [ms]\n  neuron_counts: [15]\n"
         cfg, out = write_config(tmp_path, extra=extra)
@@ -250,6 +293,17 @@ class TestAblateCommand:
 
 
 class TestInspectCommand:
+    @pytest.mark.parametrize("doc, named", [
+        ({"format": "sswim-model-v1"}, "'grid'"),
+        ([], "not a recognized model file"),
+    ])
+    def test_malformed_model_file_exits_one(self, tmp_path, capsys, doc, named):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["inspect", "--model", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and str(path) in err
+
     def test_dump_has_layer_blocks_and_parses(self, tmp_path, capsys):
         cfg, out = write_config(tmp_path)
         assert main(["train", "--config", str(cfg)]) == 0

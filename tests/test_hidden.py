@@ -11,7 +11,6 @@ from sswim.hidden import (
     overlap_matrix,
     separation_matrix,
     temporal_assignment,
-    voltage_stats,
     weight_dist,
     weight_dot,
     weight_random,
@@ -174,7 +173,9 @@ class TestWeightRandom:
 
 class TestVoltageStats:
     def test_constant_trace(self):
-        stats = voltage_stats(np.array([1.0]), [np.full((1, 10), 0.3)])
+        acc = VoltageStatsAccumulator()
+        acc.add_trace(np.array([1.0]) @ np.full((1, 10), 0.3))
+        stats = acc.result()
         assert stats.mean == pytest.approx(0.3)
         assert stats.std == pytest.approx(0.0, abs=1e-12)
         assert stats.peak == pytest.approx(0.3)
@@ -182,8 +183,10 @@ class TestVoltageStats:
     def test_two_trace_hand_statistics(self):
         # trace 1: zero mean, unit std; trace 2: zero mean, std 3
         base = np.array([1.0, -1.0, 1.0, -1.0])
-        traces = [base[None, :], 3.0 * base[None, :]]
-        stats = voltage_stats(np.array([1.0]), traces)
+        acc = VoltageStatsAccumulator()
+        for trace in (base[None, :], 3.0 * base[None, :]):
+            acc.add_trace(np.array([1.0]) @ trace)
+        stats = acc.result()
         assert stats.mean == pytest.approx(0.0)
         assert stats.std == pytest.approx(2.0)
         assert stats.peak == pytest.approx(3.0)
@@ -212,11 +215,13 @@ class TestVoltageStats:
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
-            voltage_stats(np.array([1.0]), [])
+            VoltageStatsAccumulator().result()
 
     def test_projection_applied(self):
         psp = np.stack([np.ones(8), 2 * np.ones(8)])  # 2 channels
-        stats = voltage_stats(np.array([1.0, 0.5]), [psp])
+        acc = VoltageStatsAccumulator()
+        acc.add_trace(np.array([1.0, 0.5]) @ psp)
+        stats = acc.result()
         assert stats.mean == pytest.approx(2.0)
 
 

@@ -6,30 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sswim.kernels import KernelFamily, PlacedKernel, pspk, rfk
+from sswim.kernels import KernelFamily, PlacedKernel, pspk, rfk, tap_span
 from sswim.network import (
     THRESHOLD,
     GridSpec,
     LayerParams,
     SnnModel,
     causal_conv_matrix,
-    forward,
     hidden_drive_batch,
     kernel_conv_matrix,
     kernel_conv_stack,
     load_model,
     model_from_dict,
     model_to_dict,
-    output_voltages,
-    psp_contributions,
+    output_voltages_batch,
     psp_window_matrix,
     refractory_taps,
     save_model,
     simulate_hidden_batch,
-    simulate_hidden_layer,
     simulate_hidden_stack,
 )
-from sswim.signals import DiscreteSignal, SpikeTrainSet
+from sswim.signals import SpikeTrainSet
+from sswim.train import predict_batch
 
 
 def hidden_layer(weights, bias, delay, support, cost, rf_support,
@@ -64,30 +62,29 @@ class TestPspContributions:
     def test_single_spike_rectified_copy(self):
         layer = hidden_layer([[1.0]], 0.0, delay=0.0, support=2.0, cost=0.0, rf_support=1.0)
         spikes = SpikeTrainSet(trains=[np.array([10])], n_steps=16)
-        psp = psp_contributions(layer, 0, spikes)
+        psp = spikes.to_dense() @ psp_window_matrix(layer.placed_kernel(0), 16, (0, 16))
         expected = np.zeros(16)
         expected[10] = 1.0
         expected[11] = 0.5
-        np.testing.assert_allclose(psp.values[0], expected)
+        np.testing.assert_allclose(psp[0], expected)
 
     def test_empty_train_is_silent(self):
         layer = hidden_layer([[1.0]], 0.0, delay=0.0, support=2.0, cost=0.0, rf_support=1.0)
         spikes = SpikeTrainSet(trains=[np.array([], dtype=int)], n_steps=8)
-        psp = psp_contributions(layer, 0, spikes)
-        assert np.all(psp.values == 0.0)
+        psp = spikes.to_dense() @ psp_window_matrix(layer.placed_kernel(0), 8, (0, 8))
+        assert np.all(psp == 0.0)
 
     def test_constant_input_reaches_tap_sum(self):
         # hat with support 2 on the unit grid has taps [1, 0.5]
         layer = hidden_layer([[1.0]], 0.0, delay=0.0, support=2.0, cost=0.0, rf_support=1.0)
-        sig = DiscreteSignal(values=np.ones((1, 12)))
-        psp = psp_contributions(layer, 0, sig)
-        np.testing.assert_allclose(psp.values[0, 1:], 1.5)
-        assert psp.values[0, 0] == 1.0  # transient: only the t=0 tap seen
+        psp = np.ones((1, 12)) @ kernel_conv_matrix(layer.placed_kernel(0), 12).T
+        np.testing.assert_allclose(psp[0, 1:], 1.5)
+        assert psp[0, 0] == 1.0  # transient: only the t=0 tap seen
 
     def test_channel_mismatch_rejected(self):
         layer = hidden_layer([[1.0, 2.0]], 0.0, delay=0.0, support=2.0, cost=0.0, rf_support=1.0)
         with pytest.raises(ValueError):
-            psp_contributions(layer, 0, DiscreteSignal(values=np.ones((3, 8))))
+            hidden_drive_batch(layer, np.ones((1, 3, 8)))
 
     def test_sparse_placement_equals_dense_convolution(self):
         rng = np.random.default_rng(3)
@@ -95,7 +92,8 @@ class TestPspContributions:
         steps = 40
         train = np.sort(rng.choice(steps, size=9, replace=False))
         spikes = SpikeTrainSet(trains=[train], n_steps=steps)
-        sparse = psp_contributions(layer, 0, spikes).values[0]
+        window = psp_window_matrix(layer.placed_kernel(0), steps, (0, steps))
+        sparse = (spikes.to_dense() @ window)[0]
         comb = np.zeros(steps)
         comb[train] = 1.0
         taps = PlacedKernel(pspk(KernelFamily.HAT), 1.0, 3.0).taps(steps)
@@ -106,39 +104,36 @@ class TestPspContributions:
 class TestSimulateHidden:
     def test_constant_suprathreshold_drive_spikes_everywhere(self):
         layer = hidden_layer([[0.0]], 1.0, delay=0.0, support=2.0, cost=0.0, rf_support=5.0)
-        sig = DiscreteSignal(values=np.zeros((1, 10)))
-        spikes, volt = simulate_hidden_layer(layer, sig)
-        np.testing.assert_array_equal(spikes.trains[0], np.arange(10))
-        np.testing.assert_allclose(volt.values[0], 1.0)
+        spikes, volt = simulate_hidden_batch(layer, np.zeros((1, 1, 10)))
+        np.testing.assert_array_equal(np.flatnonzero(spikes[0, 0]), np.arange(10))
+        np.testing.assert_allclose(volt[0, 0], 1.0)
 
     def test_subthreshold_drive_never_spikes(self):
         layer = hidden_layer([[0.0]], 0.5, delay=0.0, support=2.0, cost=-2.0, rf_support=5.0)
-        sig = DiscreteSignal(values=np.zeros((1, 10)))
-        spikes, _ = simulate_hidden_layer(layer, sig)
-        assert spikes.trains[0].size == 0
+        spikes, _ = simulate_hidden_batch(layer, np.zeros((1, 1, 10)))
+        assert not spikes.any()
 
     def test_refractory_suppression_hand_simulation(self):
         # drive: bias 0.95 plus a PSP bump of 0.1 at step 5 (0.05 at step 6)
         layer = hidden_layer([[0.1]], 0.95, delay=0.0, support=2.0,
                              cost=-3.0, rf_support=5.0)
         spikes_in = SpikeTrainSet(trains=[np.array([5])], n_steps=10)
-        spikes, volt = simulate_hidden_layer(layer, spikes_in)
-        np.testing.assert_array_equal(spikes.trains[0], [5])
+        spikes, volt = simulate_hidden_batch(layer, spikes_in.to_dense()[None])
+        np.testing.assert_array_equal(np.flatnonzero(spikes[0, 0]), [5])
         expected = np.full(10, 0.95)
         expected[5] += 0.1
         expected[6] += 0.05
         for t in range(6, 10):
             expected[t] += -3.0 * math.exp(-(t - 5) / 5.0)
-        np.testing.assert_allclose(volt.values[0], expected, atol=1e-12)
+        np.testing.assert_allclose(volt[0, 0], expected, atol=1e-12)
 
     def test_refractory_never_acts_at_spike_step(self):
         # two neurons, drive above threshold at every step: the first spike
         # must not change the voltage at its own step
         layer = hidden_layer([[0.0]], 1.2, delay=0.0, support=2.0,
                              cost=-5.0, rf_support=3.0)
-        sig = DiscreteSignal(values=np.zeros((1, 6)))
-        _, volt = simulate_hidden_layer(layer, sig)
-        assert volt.values[0, 0] == pytest.approx(1.2)
+        _, volt = simulate_hidden_batch(layer, np.zeros((1, 1, 6)))
+        assert volt[0, 0, 0] == pytest.approx(1.2)
 
     def test_causality_under_truncation(self):
         rng = np.random.default_rng(11)
@@ -148,13 +143,12 @@ class TestSimulateHidden:
         t0 = 17
         x_trunc = x.copy()
         x_trunc[:, t0 + 1:] = 0.0
-        s_full, v_full = simulate_hidden_layer(layer, DiscreteSignal(values=x))
-        s_trunc, v_trunc = simulate_hidden_layer(layer, DiscreteSignal(values=x_trunc))
+        s_full, v_full = simulate_hidden_batch(layer, x[None])
+        s_trunc, v_trunc = simulate_hidden_batch(layer, x_trunc[None])
         np.testing.assert_allclose(
-            v_full.values[:, : t0 + 1], v_trunc.values[:, : t0 + 1], atol=1e-12
+            v_full[0, :, : t0 + 1], v_trunc[0, :, : t0 + 1], atol=1e-12
         )
-        for a, b in zip(s_full.trains, s_trunc.trains):
-            np.testing.assert_array_equal(a[a <= t0], b[b <= t0])
+        np.testing.assert_array_equal(s_full[0, :, : t0 + 1], s_trunc[0, :, : t0 + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +165,8 @@ def reference_causal_conv_matrix(taps, n_steps):
 
 
 def reference_kernel_conv_matrix(pk, n_steps, dt):
-    return reference_causal_conv_matrix(pk.taps(min(pk.tap_span(dt), n_steps), dt), n_steps)
+    span = min(int(tap_span(pk.delay, pk.support, dt)), n_steps)
+    return reference_causal_conv_matrix(pk.taps(span, dt), n_steps)
 
 
 def reference_drive(layer, dense_in, dt):
@@ -338,25 +333,25 @@ class TestOutputVoltages:
         layer = output_layer(np.zeros((2, 3)), 0.7, delay=0.0, support=2.0)
         spikes = SpikeTrainSet(trains=[np.array([1]), np.array([2]), np.array([], int)],
                                n_steps=12)
-        out = output_voltages(layer, spikes, window=(6, 12))
-        np.testing.assert_allclose(out.values, 0.7)
+        out = output_voltages_batch(layer, spikes.to_dense()[None], window=(6, 12))
+        np.testing.assert_allclose(out[0], 0.7)
 
     def test_single_spike_reproduces_placed_kernel(self):
         layer = output_layer([[1.0]], 0.0, delay=2.0, support=3.0)
         spikes = SpikeTrainSet(trains=[np.array([4])], n_steps=16)
-        out = output_voltages(layer, spikes, window=(0, 16))
+        out = output_voltages_batch(layer, spikes.to_dense()[None], window=(0, 16))
         pk = PlacedKernel(pspk(KernelFamily.HAT), 2.0, 3.0)
         expected = pk.sample_at(np.arange(16) - 4.0)
-        np.testing.assert_allclose(out.values[0], expected)
+        np.testing.assert_allclose(out[0, 0], expected)
 
     def test_two_spikes_superpose(self):
         layer = output_layer([[1.0]], 0.0, delay=1.0, support=2.0)
         spikes = SpikeTrainSet(trains=[np.array([3, 8])], n_steps=16)
-        out = output_voltages(layer, spikes, window=(0, 16))
+        out = output_voltages_batch(layer, spikes.to_dense()[None], window=(0, 16))
         pk = PlacedKernel(pspk(KernelFamily.HAT), 1.0, 2.0)
         t = np.arange(16)
         expected = pk.sample_at(t - 3.0) + pk.sample_at(t - 8.0)
-        np.testing.assert_allclose(out.values[0], expected)
+        np.testing.assert_allclose(out[0, 0], expected)
 
     def test_affine_superposition_in_weights(self):
         rng = np.random.default_rng(5)
@@ -364,11 +359,11 @@ class TestOutputVoltages:
         w2 = rng.normal(size=(2, 4))
         bias = rng.normal(size=2)
         trains = [np.sort(rng.choice(20, size=4, replace=False)) for _ in range(4)]
-        spikes = SpikeTrainSet(trains=trains, n_steps=20)
+        combs = SpikeTrainSet(trains=trains, n_steps=20).to_dense()[None]
         mk = lambda w: output_layer(w, bias, delay=1.5, support=3.0)
-        v1 = output_voltages(mk(w1), spikes, (10, 20)).values
-        v2 = output_voltages(mk(w2), spikes, (10, 20)).values
-        v12 = output_voltages(mk(w1 + w2), spikes, (10, 20)).values
+        v1 = output_voltages_batch(mk(w1), combs, (10, 20))[0]
+        v2 = output_voltages_batch(mk(w2), combs, (10, 20))[0]
+        v12 = output_voltages_batch(mk(w1 + w2), combs, (10, 20))[0]
         np.testing.assert_allclose(v12, v1 + v2 - bias[:, None], atol=1e-12)
 
 
@@ -388,30 +383,26 @@ class TestForward:
         out = output_layer(np.zeros((2, 3)), 0.25, delay=0.0, support=2.0)
         model = SnnModel(layers=[hid, out], d_in=2, d_out=2,
                          grid=GridSpec(dt=1.0, total_steps=20, horizon=5))
-        pred, hidden = forward(model, np.zeros((2, 15)))
-        np.testing.assert_allclose(pred.values, 0.25)
+        pred = predict_batch(model, np.zeros((1, 2, 15)))
+        np.testing.assert_allclose(pred, 0.25)
+        hidden = simulate_hidden_stack(model.layers[:-1], np.zeros((1, 2, 20)), 1)
         assert len(hidden) == 1
-        assert all(t.size == 20 for t in hidden[0].trains)
+        assert hidden[0].all()
 
     def test_forward_is_deterministic(self):
         model = tiny_model()
-        x = np.random.default_rng(9).normal(size=(2, 16))
-        p1, _ = forward(model, x)
-        p2, _ = forward(model, x)
-        np.testing.assert_array_equal(p1.values, p2.values)
+        x = np.random.default_rng(9).normal(size=(1, 2, 16))
+        np.testing.assert_array_equal(predict_batch(model, x), predict_batch(model, x))
 
     def test_forward_pads_observation_window(self):
         model = tiny_model()
-        x = np.random.default_rng(2).normal(size=(2, 16))
-        p_short, _ = forward(model, x)
-        x_padded = np.zeros((2, 24))
-        x_padded[:, :16] = x
-        p_full, _ = forward(model, x_padded)
-        np.testing.assert_array_equal(p_short.values, p_full.values)
+        x = np.random.default_rng(2).normal(size=(1, 2, 16))
+        x_padded = np.zeros((1, 2, 24))
+        x_padded[:, :, :16] = x
+        np.testing.assert_array_equal(predict_batch(model, x), predict_batch(model, x_padded))
 
     def test_predict_batch_without_hidden_layers_matches_forward(self):
-        from sswim.train import predict_batch
-
+        # a batch predicts like each of its windows alone
         rng = np.random.default_rng(11)
         out = output_layer(rng.normal(size=(2, 2)), 0.3, delay=1.0, support=4.0)
         model = SnnModel(layers=[out], d_in=2, d_out=2,
@@ -419,14 +410,25 @@ class TestForward:
         inputs = rng.normal(size=(5, 2, 16))
         preds = predict_batch(model, inputs, batch_size=2)
         for x, pred in zip(inputs, preds):
-            np.testing.assert_array_equal(pred, forward(model, x)[0].values)
+            np.testing.assert_array_equal(pred, predict_batch(model, x[None])[0])
 
     def test_prediction_is_finite(self):
         model = tiny_model()
-        x = np.random.default_rng(4).normal(size=(2, 16))
-        pred, _ = forward(model, x)
-        assert pred.values.shape == (2, 8)
-        assert np.all(np.isfinite(pred.values))
+        x = np.random.default_rng(4).normal(size=(1, 2, 16))
+        pred = predict_batch(model, x)
+        assert pred.shape == (1, 2, 8)
+        assert np.all(np.isfinite(pred))
+
+    def test_predict_batch_honours_grid_dt(self):
+        model = tiny_model()
+        model.grid = GridSpec(dt=0.5, total_steps=24, horizon=8)
+        x = np.random.default_rng(6).normal(size=(3, 2, 16))
+        dense = np.zeros((3, 2, 24))
+        dense[:, :, :16] = x
+        masks = simulate_hidden_stack(model.layers[:-1], dense, 3, 0.5)
+        expected = output_voltages_batch(model.layers[-1], masks[-1].astype(float),
+                                         model.grid.window, 0.5)
+        assert predict_batch(model, x, batch_size=3).tobytes() == expected.tobytes()
 
 
 class TestModelValidation:
@@ -456,10 +458,8 @@ class TestSerialization:
             np.testing.assert_array_equal(orig.support, back.support)
             assert orig.pspk == back.pspk
         assert loaded.grid == model.grid
-        x = np.random.default_rng(1).normal(size=(2, 16))
-        np.testing.assert_array_equal(
-            forward(model, x)[0].values, forward(loaded, x)[0].values
-        )
+        x = np.random.default_rng(1).normal(size=(1, 2, 16))
+        np.testing.assert_array_equal(predict_batch(model, x), predict_batch(loaded, x))
 
     def test_file_holds_the_canonical_bytes(self, tmp_path):
         from sswim.train import serialize_model_bytes
@@ -487,6 +487,22 @@ class TestSerialization:
         doc["layers"][0]["weights"][0][0] = float("nan")
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=r"NaN") as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("field", ["grid", "grid.dt", "layers", "d_in", "d_out",
+                                       "layers.0.weights", "layers.0.rfk", "layers.1.pspk"])
+    def test_missing_field_is_named(self, tmp_path, field):
+        path = tmp_path / "model.json"
+        save_model(tiny_model(), path)
+        doc = json.loads(path.read_text())
+        *parents, key = field.split(".")
+        node = doc
+        for part in parents:
+            node = node[int(part)] if part.isdigit() else node[part]
+        del node[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"no '{key}' field") as info:
             load_model(path)
         assert str(path) in str(info.value)
 

@@ -323,21 +323,6 @@ class TestGramAccumulator:
         assert ne.group_of_neuron[0][0] == ne.group_of_neuron[1][0]
         assert ne.group_of_neuron[2][0] != ne.group_of_neuron[0][0]
 
-    def test_merge_adds(self):
-        a = GramAccumulator(2, 1)
-        b = GramAccumulator(2, 1)
-        a.add_block(np.eye(2), np.array([[1.0], [2.0]]), 1)
-        b.add_block(2 * np.eye(2), np.array([[3.0], [4.0]]), 1)
-        c = a.merge(b)
-        np.testing.assert_allclose(c.gram, 5 * np.eye(2))
-        assert c.count == 2
-
-    def test_validate_flags_asymmetry(self):
-        acc = GramAccumulator(2, 1)
-        acc.gram[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            acc.validate()
-
 
 def dense_ridge_solution(design, y, m, lam):
     k = design.shape[1]

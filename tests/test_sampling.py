@@ -109,11 +109,16 @@ class TestPseudometricValues:
         b = SpikeTrainSet(trains=[np.array([10])], n_steps=16)
         assert metric.distance(a, b) > 0.1
 
+    def test_spike_trains_need_a_lift(self):
+        trains = SpikeTrainSet(trains=[np.array([2])], n_steps=16)
+        with pytest.raises(ValueError, match="lift"):
+            Pseudometric(EmbeddingSpec("l2")).distance(trains, trains)
+
     def test_pairwise_matches_single_distances(self):
         rng = np.random.default_rng(6)
         batch = random_batch(rng, 5)
-        for spec in ALL_EMBEDDINGS:
-            metric = Pseudometric(spec)
+        lifted = Pseudometric(EmbeddingSpec("l2"), VanRossumLift(pspk(KernelFamily.HAT), 4.0))
+        for metric in [Pseudometric(spec) for spec in ALL_EMBEDDINGS] + [lifted]:
             mat = metric.pairwise(batch)
             assert np.all(np.diag(mat) == 0.0)
             np.testing.assert_array_equal(mat, mat.T)
