@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import yaml
 
-from .datasets import check_ratios
+from .datasets import SYNTH_KINDS, check_ratios, check_series_length
 from .errors import ConfigError
 from .kernels import KernelFamily
 from .output import SupportCandidates, lambda_grid, support_candidates
@@ -148,6 +148,17 @@ class DatasetConfig:
             raise ConfigError("dataset needs positive 'observation' and 'horizon'")
         if self.stride < 1:
             raise ConfigError("stride must be at least 1")
+        if self.synth_kind is not None:
+            if self.synth_kind not in SYNTH_KINDS:
+                raise ConfigError(f"unknown dataset.synth kind: {self.synth_kind!r}")
+            if self.variables < 1:
+                raise ConfigError("dataset.synth variables must be at least 1")
+            try:
+                check_series_length(self.steps, self.observation + self.horizon)
+            except ValueError as exc:
+                raise ConfigError(f"dataset.synth steps: {exc}") from exc
+            if not 0.0 <= self.noise_sigma < math.inf:
+                raise ConfigError("dataset.synth noise_sigma must be non-negative and finite")
         self.ratios = tuple(float(r) for r in self.ratios)
         try:
             check_ratios(self.ratios)

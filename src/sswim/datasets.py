@@ -103,6 +103,12 @@ def check_ratios(ratios) -> None:
         raise ValueError("ratios must be three non-negative values summing to 1")
 
 
+def check_series_length(steps: int, window_len: int) -> None:
+    """Raise ValueError unless a series of ``steps`` holds one window."""
+    if steps < window_len:
+        raise ValueError(f"series has {steps} steps; need at least {window_len}")
+
+
 def split_window_starts(n_windows: int, ratios=(0.7, 0.2, 0.1)) -> dict:
     """Chronological split by cumulative ratio boundaries (floored).
 
@@ -131,10 +137,7 @@ def make_windows(series: np.ndarray, obs_len: int, horizon: int,
     if series.ndim != 2:
         raise ValueError("series must be (variables, steps)")
     window_len = obs_len + horizon
-    if series.shape[1] < window_len:
-        raise ValueError(
-            f"series has {series.shape[1]} steps; need at least {window_len}"
-        )
+    check_series_length(series.shape[1], window_len)
     if stride < 1:
         raise ValueError("stride must be at least 1")
     all_starts = np.arange(0, series.shape[1] - window_len + 1, stride)
@@ -198,6 +201,9 @@ def ar_noise_series(variables: int, steps: int, rng: np.random.Generator) -> np.
         for t in range(2, total):
             series[v, t] = a1 * series[v, t - 1] + a2 * series[v, t - 2] + eps[t]
     return series[:, burn:]
+
+
+SYNTH_KINDS = ("multisine", "arnoise")
 
 
 def synth_dataset(kind: str, variables: int, steps: int, seed: int,

@@ -20,12 +20,28 @@ copy updated in place, and the spike mask is written step by step beside
 it. Both are returned as (samples, neurons, steps) views. Each neuron's
 products and each step's sums are the ones a per-neuron, per-step loop
 would do, in the same order, so results are bit for bit those of that loop.
+
+The forward pass runs on every available CPU. ``_split_run`` cuts an axis
+into one contiguous range per CPU, when the work is large enough to pay
+for the threads, and runs plain numpy on each range on a thread of its own
+(numpy and BLAS release the GIL). The input projection and the step loop
+are split by sample, the conv stack by neuron and the read-out by output
+neuron. Every split keeps each BLAS call the serial
+code would make: one gemm per sample or per neuron, and one read-out gemv
+over all (sample, window step) rows, since slicing the rows of a gemv can
+change its blocking and so its last bits. The elementwise work gives the
+same bits on any slice. So predictions do not depend on the CPU count.
+The caller allocates every array a worker writes, scratch included: a
+worker that allocated would get its own malloc arena and hold its memory.
+Workers call no other function of this module. Their threads end with
+the call, so a forked child inherits none.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,6 +153,61 @@ class SnnModel:
 
 
 # ---------------------------------------------------------------------------
+# threads of the forward pass
+
+
+_sharing = 1   # processes that run on this process's CPUs, itself included
+
+
+def share_cpus(processes: int) -> None:
+    """Give the forward pass of this process its part of the CPUs when it is
+    one of ``processes`` workers that run at once. Threads beyond the free
+    cores only pass the GIL back and forth: a 250-neuron ablation with two
+    workers on two CPUs took a median 51 s with two threads per worker and
+    40 s with one (four runs each)."""
+    global _sharing
+    _sharing = processes
+
+
+def available_cpus() -> int:
+    """This process's part of the CPUs it may run on: the forward pass uses
+    one thread each."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // _sharing)
+
+
+# Elements a thread must get before a split pays: below it, starting the
+# threads and passing the GIL back and forth between many small numpy calls
+# cost more than the second core saves (a 250-neuron, 88-step layer ran no
+# faster split at 32 samples, 0.7 M elements, and 1.5x slower at 8).
+_MIN_SLICE = 1 << 19
+
+
+def _split_ranges(n: int, size: int) -> list:
+    """Contiguous (lo, hi) ranges covering ``range(n)``: one per available
+    CPU, but no more than give each at least ``_MIN_SLICE`` of the ``size``
+    elements the work walks, at most ``n`` and at least one."""
+    width = max(1, min(available_cpus(), n, size // _MIN_SLICE))
+    bounds = [n * k // width for k in range(width + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _split_run(fn, ranges) -> None:
+    """Call ``fn(lo, hi)`` for every range: inline for one range, else on one
+    thread per range, returning when all are done and raising the first error."""
+    if len(ranges) == 1:
+        fn(*ranges[0])
+        return
+    with ThreadPoolExecutor(len(ranges)) as pool:
+        futures = [pool.submit(fn, lo, hi) for lo, hi in ranges]
+    for fut in futures:
+        fut.result()
+
+
+# ---------------------------------------------------------------------------
 # convolution machinery
 
 
@@ -199,15 +270,26 @@ def hidden_drive_batch(layer: LayerParams, dense_in: np.ndarray,
     """Input contribution plus bias for a batch: (samples, neurons, steps).
 
     Exploits linearity: the weighted sum of per-channel kernel responses
-    equals the kernel response of the weighted input sum.
+    equals the kernel response of the weighted input sum. The projection
+    is split by sample, the conv stack by neuron.
     """
-    stack = kernel_conv_stack(layer.pspk, layer.delay, layer.support, dense_in.shape[-1], dt)
-    projected = np.matmul(layer.weights, dense_in)  # (M, N, G)
+    n_samples, n_steps = dense_in.shape[0], dense_in.shape[-1]
+    stack = kernel_conv_stack(layer.pspk, layer.delay, layer.support, n_steps, dt)
+    projected = np.empty((n_samples, layer.n_neurons, n_steps))
+
+    def project(lo, hi):
+        np.matmul(layer.weights, dense_in[lo:hi], out=projected[lo:hi])  # one gemm per sample
+
+    _split_run(project, _split_ranges(n_samples, projected.size))
     drive = np.empty_like(projected)
-    # one (M, G) @ (G, G) product per neuron, batched over the neuron axis
-    np.matmul(projected.transpose(1, 0, 2), stack.transpose(0, 2, 1),
-              out=drive.transpose(1, 0, 2))
-    drive += layer.bias[None, :, None]
+    src, dst = projected.transpose(1, 0, 2), drive.transpose(1, 0, 2)
+
+    def convolve(lo, hi):
+        # one (M, G) @ (G, G) product per neuron
+        np.matmul(src[lo:hi], stack[lo:hi].transpose(0, 2, 1), out=dst[lo:hi])
+        dst[lo:hi] += layer.bias[lo:hi, None, None]
+
+    _split_run(convolve, _split_ranges(layer.n_neurons, projected.size))
     return drive
 
 
@@ -236,20 +318,32 @@ def simulate_hidden_batch(layer: LayerParams, dense_in: np.ndarray,
         raise ValueError("simulate_hidden_batch needs a hidden layer")
     drive = hidden_drive_batch(layer, dense_in, dt)
     volt = np.empty((drive.shape[2], drive.shape[0], drive.shape[1]))
-    for m, sample in enumerate(drive):
-        volt[:, m] = sample.T   # sample by sample: each block stays in cache
+
+    def transpose(lo, hi):
+        for m in range(lo, hi):
+            volt[:, m] = drive[m].T   # sample by sample: each block stays in cache
+
+    ranges = _split_ranges(volt.shape[1], volt.size)
+    _split_run(transpose, ranges)
     del drive
     # row d - 1 holds every neuron's spike cost d steps after its spike
     cost_rows = np.ascontiguousarray((layer.spike_cost[:, None] * refractory_taps(layer, dt)).T)
     lags = [d for d in range(1, len(cost_rows) + 1) if np.any(cost_rows[d - 1])]
     spiked = np.empty(volt.shape, dtype=bool)
-    for t in range(volt.shape[0]):
-        v = volt[t]
-        for d in lags:
-            if d > t:
-                break
-            v += cost_rows[d - 1] * spiked[t - d]
-        np.greater_equal(v, THRESHOLD, out=spiked[t])
+    cost = np.empty(volt.shape[1:])   # the per-lag cost product, one row per sample
+
+    def run(lo, hi):
+        scratch = cost[lo:hi]
+        for t in range(volt.shape[0]):
+            v = volt[t, lo:hi]
+            for d in lags:
+                if d > t:
+                    break
+                np.multiply(cost_rows[d - 1], spiked[t - d, lo:hi], out=scratch)
+                v += scratch
+            np.greater_equal(v, THRESHOLD, out=spiked[t, lo:hi])
+
+    _split_run(run, ranges)
     return spiked.transpose(1, 2, 0), volt.transpose(1, 2, 0)
 
 
@@ -271,15 +365,31 @@ def simulate_hidden_stack(layers, dense_in: np.ndarray, chunk: int,
 
 def output_voltages_batch(layer: LayerParams, dense_spikes: np.ndarray,
                           window: tuple[int, int], dt: float = 1.0) -> np.ndarray:
-    """Affine read-out on a window for a batch of spike indicators."""
-    n_steps = dense_spikes.shape[-1]
+    """Affine read-out on a window for a batch of spike indicators.
+
+    Split by output neuron. Each output's kernel responses (M, N_L, W) are
+    reordered to (M·W, N_L) rows, as ``np.tensordot`` would, and read out
+    by one gemv over all rows.
+    """
+    n_samples, n_in, n_steps = dense_spikes.shape
     width = window[1] - window[0]
-    out = np.empty((dense_spikes.shape[0], layer.n_neurons, width))
-    for i in range(layer.n_neurons):
-        k = psp_window_matrix(layer.placed_kernel(i), n_steps, window, dt)
-        psp = np.matmul(dense_spikes, k)  # (M, N_L, W)
-        out[:, i, :] = np.tensordot(psp, layer.weights[i], axes=([1], [0]))
-        out[:, i, :] += layer.bias[i]
+    kernels = [psp_window_matrix(layer.placed_kernel(i), n_steps, window, dt)
+               for i in range(layer.n_neurons)]
+    out = np.empty((n_samples, layer.n_neurons, width))
+    ranges = _split_ranges(layer.n_neurons, dense_spikes.size * layer.n_neurons)
+    scratch = {lo: (np.empty((n_samples, n_in, width)), np.empty((n_samples * width, n_in)),
+                    np.empty(n_samples * width)) for lo, _ in ranges}
+
+    def read_out(lo, hi):
+        psp, rows, row_out = scratch[lo]
+        for i in range(lo, hi):
+            np.matmul(dense_spikes, kernels[i], out=psp)  # (M, N_L, W)
+            rows.reshape(n_samples, width, n_in)[...] = psp.transpose(0, 2, 1)
+            np.dot(rows, layer.weights[i], out=row_out)
+            out[:, i, :] = row_out.reshape(n_samples, width)
+            out[:, i, :] += layer.bias[i]
+
+    _split_run(read_out, ranges)
     return out
 
 
@@ -292,7 +402,31 @@ def _kernel_to_dict(spec: KernelSpec) -> dict:
 
 
 def _kernel_from_dict(d: dict) -> KernelSpec:
-    return KernelSpec(KernelFamily(d["family"]), Rectification(d["rectification"]))
+    return KernelSpec(KernelFamily(_field(d, "family")),
+                      Rectification(_field(d, "rectification")))
+
+
+def _field(d: dict, key: str, kind=None, what: str = ""):
+    """``d[key]``; ValueError names the field when it is missing or, with a
+    ``kind``, when it is not a ``kind`` (``what`` says which)."""
+    if key not in d:
+        raise ValueError(f"model has no {key!r} field")
+    value = d[key]
+    if kind is not None and not isinstance(value, kind):
+        raise ValueError(f"model field {key!r} must be {what}, not {type(value).__name__}")
+    return value
+
+
+def _floats(d: dict, key: str) -> np.ndarray:
+    value = _field(d, key)
+    try:
+        arr = np.array(value)
+    except ValueError:   # ragged nesting
+        arr = None
+    # dtype=float would read a null as NaN and a string or boolean as a number
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValueError(f"model field {key!r} must hold numbers")
+    return arr.astype(float)
 
 
 def _layer_to_dict(layer: LayerParams) -> dict:
@@ -314,16 +448,16 @@ def _layer_from_dict(d: dict) -> LayerParams:
     kwargs = {}
     if "spike_cost" in d:
         kwargs = {
-            "spike_cost": np.array(d["spike_cost"]),
-            "rf_support": np.array(d["rf_support"]),
-            "rfk": _kernel_from_dict(d["rfk"]),
+            "spike_cost": _floats(d, "spike_cost"),
+            "rf_support": _floats(d, "rf_support"),
+            "rfk": _kernel_from_dict(_field(d, "rfk", dict, "an object")),
         }
     return LayerParams(
-        weights=np.array(d["weights"]),
-        bias=np.array(d["bias"]),
-        delay=np.array(d["delay"]),
-        support=np.array(d["support"]),
-        pspk=_kernel_from_dict(d["pspk"]),
+        weights=_floats(d, "weights"),
+        bias=_floats(d, "bias"),
+        delay=_floats(d, "delay"),
+        support=_floats(d, "support"),
+        pspk=_kernel_from_dict(_field(d, "pspk", dict, "an object")),
         **kwargs,
     )
 
@@ -344,24 +478,25 @@ def model_to_dict(model: SnnModel) -> dict:
 
 
 def model_from_dict(d: dict) -> SnnModel:
-    """Inverse of ``model_to_dict``; a missing field raises ValueError naming it."""
+    """Inverse of ``model_to_dict``; a missing or wrong-typed field raises
+    ValueError naming it."""
     if not isinstance(d, dict) or d.get("format") != "sswim-model-v1":
         raise ValueError("not a recognized model file")
-    try:
-        grid = GridSpec(
-            dt=d["grid"]["dt"],
-            total_steps=d["grid"]["total_steps"],
-            horizon=d["grid"]["horizon"],
-        )
-        return SnnModel(
-            layers=[_layer_from_dict(ld) for ld in d["layers"]],
-            d_in=d["d_in"],
-            d_out=d["d_out"],
-            grid=grid,
-            metadata=d.get("metadata", {}),
-        )
-    except KeyError as exc:
-        raise ValueError(f"model has no {exc.args[0]!r} field") from None
+    grid = _field(d, "grid", dict, "an object")
+    layers = _field(d, "layers", list, "an array")
+    if not all(isinstance(ld, dict) for ld in layers):
+        raise ValueError("model field 'layers' must hold objects")
+    return SnnModel(
+        layers=[_layer_from_dict(ld) for ld in layers],
+        d_in=_field(d, "d_in", int, "an integer"),
+        d_out=_field(d, "d_out", int, "an integer"),
+        grid=GridSpec(
+            dt=_field(grid, "dt", (int, float), "a number"),
+            total_steps=_field(grid, "total_steps", int, "an integer"),
+            horizon=_field(grid, "horizon", int, "an integer"),
+        ),
+        metadata=d.get("metadata", {}),
+    )
 
 
 def save_model(model: SnnModel, path) -> None:

@@ -17,6 +17,7 @@ pair separates the dataset more decisively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -161,16 +162,38 @@ class Pseudometric:
 
 @dataclass
 class PairProbabilities:
-    """Normalized sampling distribution over distinct sample pairs (n > m)."""
+    """Normalized sampling distribution over distinct sample pairs (n > m).
+
+    ``probs`` gets the checks ``Generator.choice`` makes on ``p``, so a
+    distribution that is negative, NaN or not summing to 1 raises ValueError.
+    """
 
     probs: np.ndarray        # (K,) normalized, K = M(M-1)/2
     pair_n: np.ndarray       # (K,) first index of each pair
     pair_m: np.ndarray       # (K,) second index, pair_m < pair_n
     n_samples: int = 0
 
+    def __post_init__(self):
+        self.probs = np.asarray(self.probs, dtype=float)
+        total = float(self.probs.sum())
+        if np.isnan(total):
+            raise ValueError("pair probabilities contain NaN")
+        if np.any(self.probs < 0.0):
+            raise ValueError("pair probabilities are not non-negative")
+        if abs(total - 1.0) > np.sqrt(np.finfo(float).eps):
+            raise ValueError("pair probabilities do not sum to 1")
+
     @property
     def n_pairs(self) -> int:
         return self.probs.size
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """The cumulative distribution ``Generator.choice`` builds from ``p``
+        on every call, built once."""
+        cdf = self.probs.cumsum()
+        cdf /= cdf[-1]
+        return cdf
 
 
 def _pair_index_arrays(n_samples: int) -> tuple[np.ndarray, np.ndarray]:
@@ -216,8 +239,9 @@ def pair_probabilities(inputs_dense: np.ndarray, targets_dense: np.ndarray,
 
 
 def sample_pair(pairs: PairProbabilities, rng: np.random.Generator) -> tuple[int, int]:
-    """Draw one pair of distinct sample indices."""
-    k = rng.choice(pairs.n_pairs, p=pairs.probs)
+    """Draw one pair of distinct sample indices: the draw and the stream
+    position of ``rng.choice(pairs.n_pairs, p=pairs.probs)``."""
+    k = pairs.cdf.searchsorted(rng.random(), side="right")
     return int(pairs.pair_n[k]), int(pairs.pair_m[k])
 
 

@@ -30,6 +30,7 @@ from .network import (
     SnnModel,
     model_to_dict,
     output_voltages_batch,
+    share_cpus,
     simulate_hidden_stack,
 )
 from .output import (
@@ -356,7 +357,8 @@ def iter_ablation(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
                         jobs.append((dataset, arch, cfg, criterion, normalizer,
                                      int(neurons), int(seed)))
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=share_cpus,
+                                 initargs=(workers,)) as pool:
             futures = [pool.submit(_ablation_cell, job) for job in jobs]
             try:
                 for future in as_completed(futures):

@@ -69,6 +69,13 @@ BAD_VALUES = [
     ("sswim", "metric_candidates: [l2, bogus]", "metric_candidates"),
     ("dataset", "stride: 0", "stride"),
     ("dataset", "ratios: [0.5, 0.5, 0.5]", "ratios"),
+    ("dataset", "synth: {kind: bogus, variables: 2, steps: 420, seed: 7}", "kind"),
+    ("dataset", "synth: {kind: multisine, variables: 0, steps: 420, seed: 7}", "variables"),
+    ("dataset", "synth: {kind: multisine, variables: 2, steps: 31, seed: 7}", "steps"),
+    ("dataset", "synth: {kind: multisine, variables: 2, steps: 420, noise_sigma: -1.0}",
+     "noise_sigma"),
+    ("dataset", "synth: {kind: multisine, variables: 2, steps: 420, noise_sigma: .inf}",
+     "noise_sigma"),
 ]
 
 ABLATION = "ablation:\n  criteria: [dot]\n  normalizers: [ms]\n  neuron_counts: [12]\n"
@@ -298,6 +305,18 @@ class TestInspectCommand:
         ([], "not a recognized model file"),
     ])
     def test_malformed_model_file_exits_one(self, tmp_path, capsys, doc, named):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["inspect", "--model", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and str(path) in err
+
+    @pytest.mark.parametrize("doc, named", [
+        ({"format": "sswim-model-v1", "grid": []}, "'grid'"),
+        ({"format": "sswim-model-v1", "grid": {"dt": 1.0, "total_steps": 9, "horizon": 2},
+          "layers": {}}, "'layers'"),
+    ], ids=["grid-list", "layers-object"])
+    def test_wrong_typed_model_field_exits_one(self, tmp_path, capsys, doc, named):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         assert main(["inspect", "--model", str(path)]) == 1

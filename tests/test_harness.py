@@ -1,6 +1,10 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
+from sswim import network
 from sswim.config import ModelArch, SswimConfig
 from sswim.datasets import (
     ar_noise_series,
@@ -276,7 +280,22 @@ class TestScaling:
         assert t_large <= 16.0 * t_small
 
 
+def cpus_of_worker(job):
+    return network.available_cpus()
+
+
 class TestRunAblation:
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patches reach the workers through fork")
+    def test_workers_share_the_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        monkeypatch.setattr("sswim.train._ablation_cell", cpus_of_worker)
+        cells = dict(criteria=("dot",), normalizers=("ms",), neuron_counts=(12,),
+                     seeds=(1, 2, 3))
+        assert run_ablation(None, None, None, workers=3, **cells) == [1, 1, 1]
+        assert run_ablation(None, None, None, workers=2, **cells) == [2, 2, 2]
+        assert network.available_cpus() == 4   # the caller keeps every CPU
+
     def test_single_cell(self):
         ds = small_dataset()
         rows = run_ablation(ds, ModelArch(hidden=(15,)), small_cfg(),

@@ -1,11 +1,15 @@
 import json
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sswim import network
 from sswim.kernels import KernelFamily, PlacedKernel, pspk, rfk, tap_span
 from sswim.network import (
     THRESHOLD,
@@ -431,6 +435,97 @@ class TestForward:
         assert predict_batch(model, x, batch_size=3).tobytes() == expected.tobytes()
 
 
+def split_case(seed=7):
+    """A two-layer model on a dt = 0.5 grid with a horizon of 5 (not a
+    multiple of 4), and 11 input windows, so the ranges come out uneven."""
+    rng = np.random.default_rng(seed)
+    hidden = [random_hidden_layer(rng, 9, 3, KernelFamily.HAT),
+              random_hidden_layer(rng, 6, 9, KernelFamily.HAT, input_scale=0.6)]
+    out = output_layer(rng.normal(size=(3, 6)), rng.normal(size=3),
+                       delay=rng.uniform(0.0, 3.0, 3), support=rng.uniform(2.0, 9.0, 3))
+    model = SnnModel(layers=hidden + [out], d_in=3, d_out=3,
+                     grid=GridSpec(dt=0.5, total_steps=31, horizon=5))
+    return model, rng.normal(size=(11, 3, 26))
+
+
+def split_outputs(model, inputs):
+    dt = model.grid.dt
+    dense = np.zeros(inputs.shape[:2] + (model.grid.total_steps,))
+    dense[:, :, :inputs.shape[2]] = inputs
+    spiked, volt = simulate_hidden_batch(model.layers[0], dense, dt)
+    masks = simulate_hidden_stack(model.layers[:-1], dense, 4, dt)
+    readout = output_voltages_batch(model.layers[-1], masks[-1].astype(float),
+                                    model.grid.window, dt)
+    return [spiked.tobytes(), volt.tobytes(), *(m.tobytes() for m in masks),
+            readout.tobytes(), predict_batch(model, inputs, batch_size=8).tobytes()]
+
+
+def predict_in_child(seed):
+    model, inputs = split_case(seed)
+    return predict_batch(model, inputs).tobytes()
+
+
+class TestSplitForwardPass:
+    @pytest.mark.parametrize("workers", [2, 3, 7])
+    def test_any_worker_count_gives_the_same_bits(self, monkeypatch, workers):
+        monkeypatch.setattr(network, "_MIN_SLICE", 1)   # split even this small case
+        model, inputs = split_case()
+        monkeypatch.setattr(network, "available_cpus", lambda: 1)
+        serial = split_outputs(model, inputs)
+        monkeypatch.setattr(network, "available_cpus", lambda: workers)
+        assert split_outputs(model, inputs) == serial
+        spiked = np.frombuffer(serial[0], dtype=bool)
+        assert 0 < spiked.mean() < 1
+
+    def test_ranges_cover_the_axis(self, monkeypatch):
+        monkeypatch.setattr(network, "available_cpus", lambda: 3)
+        least = network._MIN_SLICE
+        assert network._split_ranges(11, 11 * least) == [(0, 3), (3, 7), (7, 11)]
+        assert network._split_ranges(2, 11 * least) == [(0, 1), (1, 2)]
+        assert network._split_ranges(0, 0) == [(0, 0)]
+        # too little work for a second thread
+        assert network._split_ranges(11, 2 * least - 1) == [(0, 11)]
+        assert network._split_ranges(11, 2 * least) == [(0, 5), (5, 11)]
+
+    def test_shared_cpus_are_divided(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        monkeypatch.setattr(network, "_sharing", 1)
+        assert network.available_cpus() == 4
+        network.share_cpus(2)
+        assert network.available_cpus() == 2
+        network.share_cpus(3)
+        assert network.available_cpus() == 1
+        network.share_cpus(8)
+        assert network.available_cpus() == 1
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(network, "available_cpus", lambda: 2)
+        monkeypatch.setattr(network, "_MIN_SLICE", 1)
+        layer = hidden_layer([[1.0, 2.0]], 0.0, delay=0.0, support=2.0, cost=0.0,
+                             rf_support=1.0)
+        with pytest.raises(ValueError):
+            hidden_drive_batch(layer, np.ones((4, 3, 8)))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_runs_a_forward_pass(self, monkeypatch):
+        # a thread left over from the parent's pass would not exist in the child
+        monkeypatch.setattr(network, "available_cpus", lambda: 2)
+        monkeypatch.setattr(network, "_MIN_SLICE", 1)
+        model, inputs = split_case(3)
+        expected = predict_batch(model, inputs).tobytes()
+        pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
+        try:
+            future = pool.submit(predict_in_child, 3)
+            try:
+                assert future.result(timeout=60) == expected
+            except TimeoutError:
+                for proc in pool._processes.values():   # else shutdown waits on it
+                    proc.kill()
+                raise
+        finally:
+            pool.shutdown()
+
+
 class TestModelValidation:
     def test_width_chain_enforced(self):
         hid = hidden_layer(np.zeros((3, 2)), 1.0, 0.0, 2.0, 0.0, 2.0)
@@ -503,6 +598,26 @@ class TestSerialization:
         del node[key]
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"no '{key}' field") as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("field, value", [
+        ("grid", []), ("layers", {}), ("layers.0", []), ("d_in", "2"), ("grid.dt", None),
+        ("layers.0.weights", {}), ("layers.1.bias", [[1.0], 2.0]), ("layers.0.rfk", "exp"),
+        ("layers.0.bias", [None, 0.5]), ("layers.1.delay", ["1.0"]), ("layers.0.support", [True]),
+    ])
+    def test_wrong_typed_field_is_named(self, tmp_path, field, value):
+        path = tmp_path / "model.json"
+        save_model(tiny_model(), path)
+        doc = json.loads(path.read_text())
+        *parents, key = field.split(".")
+        node = doc
+        for part in parents:
+            node = node[int(part)] if part.isdigit() else node[part]
+        node[int(key) if key.isdigit() else key] = value
+        path.write_text(json.dumps(doc))
+        named = "'layers'" if key.isdigit() else f"'{key}'"
+        with pytest.raises(ValueError, match=f"model field {named} must") as info:
             load_model(path)
         assert str(path) in str(info.value)
 

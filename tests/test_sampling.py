@@ -262,6 +262,28 @@ class TestSamplePair:
             n, m = sample_pair(pairs, rng)
             assert n != m
 
+    def test_draws_match_generator_choice(self):
+        # the same index on every draw and the same stream position after
+        source = np.random.default_rng(13)
+        for case in range(20):
+            k = int(source.integers(2, 5000))
+            probs = source.random(k) * (source.random(k) < 0.8)
+            probs[source.integers(k)] += 1.0
+            probs /= probs.sum()
+            pairs = PairProbabilities(probs=probs, pair_n=np.arange(k),
+                                      pair_m=np.zeros(k, dtype=int), n_samples=k)
+            mine, numpys = np.random.default_rng(case), np.random.default_rng(case)
+            for _ in range(200):
+                assert sample_pair(pairs, mine)[0] == numpys.choice(k, p=probs)
+            assert mine.random() == numpys.random()
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.6, -0.1], [0.5, np.nan, 0.5], [0.5, 0.4, 0.05]],
+                             ids=["negative", "nan", "short-of-one"])
+    def test_bad_distribution_rejected(self, probs):
+        n_idx, m_idx = np.tril_indices(3, k=-1)
+        with pytest.raises(ValueError, match="pair probabilities"):
+            PairProbabilities(probs=np.array(probs), pair_n=n_idx, pair_m=m_idx, n_samples=3)
+
 
 class TestEntropy:
     def test_uniform_over_four_is_ln4_exact(self):
