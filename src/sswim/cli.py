@@ -131,7 +131,7 @@ def cmd_ablate(args) -> int:
         with open(manifest_path) as fh:
             done_rows = json.load(fh)
     done_keys = {tuple(_ablation_row_key(r)) for r in done_rows}
-    workers = args.threads if args.threads else cfg.threads
+    workers = cfg.threads if args.threads is None else args.threads
     rows = sorted(done_rows, key=_ablation_row_key)
     for row in iter_ablation(
         dataset, cfg.arch, cfg.sswim,
@@ -188,6 +188,17 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:
+    """An ``--threads`` value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sswim",
@@ -209,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_abl = sub.add_parser("ablate", help="run the configured ablation sweep")
     p_abl.add_argument("--config", required=True)
-    p_abl.add_argument("--threads", type=int, default=None)
+    p_abl.add_argument("--threads", type=_at_least_one, default=None)
     p_abl.add_argument("--out", default=None)
     p_abl.set_defaults(func=cmd_ablate)
 

@@ -196,9 +196,15 @@ class RunConfig:
     def __post_init__(self):
         if self.dataset is None:
             raise ConfigError("a run config needs a 'dataset' section")
-        self.seeds = tuple(int(s) for s in self.seeds)
+        if not isinstance(self.seeds, (list, tuple)) or not all(
+            _is_int(s) for s in self.seeds
+        ):
+            raise ConfigError("run seeds must be a list of integers")
+        self.seeds = tuple(self.seeds)
         if not self.seeds:
-            raise ConfigError("seed list must be nonempty")
+            raise ConfigError("run seeds must not be empty")
+        if not _is_int(self.threads) or self.threads < 1:
+            raise ConfigError("run threads must be an integer of at least 1")
         try:
             self.sswim.support_grid(self.dataset.horizon)
         except (TypeError, ValueError) as exc:
@@ -214,6 +220,10 @@ class RunConfig:
                         replace(self.sswim, **{key: value})
                     except ConfigError as exc:
                         raise ConfigError(f"ablation {name}: {exc}") from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_keys(section: dict, allowed, where: str) -> None:
@@ -263,9 +273,9 @@ def parse_run_config(doc: dict) -> RunConfig:
         dataset=dataset,
         arch=arch,
         sswim=sswim_cfg,
-        seeds=tuple(run.get("seeds", (1,))),
+        seeds=run.get("seeds", (1,)),
         out_dir=run.get("out_dir", "results"),
-        threads=int(run.get("threads", 1)),
+        threads=run.get("threads", 1),
         ablation=ablation,
     )
 

@@ -21,20 +21,23 @@ it. Both are returned as (samples, neurons, steps) views. Each neuron's
 products and each step's sums are the ones a per-neuron, per-step loop
 would do, in the same order, so results are bit for bit those of that loop.
 
-The forward pass runs on every available CPU. ``_split_run`` cuts an axis
+The output layer is linear too, so its read-out applies the weights
+first: one (outputs, neurons) product per sample contracts the spikes to
+one trace per output, and each output's (steps, window) kernel matrix is
+then applied to its own trace. That is the design row of the output fit
+(``output.assemble_design``) times the weights, up to rounding.
+
+The hidden layers run on every available CPU. ``_split_run`` cuts an axis
 into one contiguous range per CPU, when the work is large enough to pay
 for the threads, and runs plain numpy on each range on a thread of its own
 (numpy and BLAS release the GIL). The input projection and the step loop
-are split by sample, the conv stack by neuron and the read-out by output
-neuron. Every split keeps each BLAS call the serial
-code would make: one gemm per sample or per neuron, and one read-out gemv
-over all (sample, window step) rows, since slicing the rows of a gemv can
-change its blocking and so its last bits. The elementwise work gives the
-same bits on any slice. So predictions do not depend on the CPU count.
-The caller allocates every array a worker writes, scratch included: a
-worker that allocated would get its own malloc arena and hold its memory.
-Workers call no other function of this module. Their threads end with
-the call, so a forked child inherits none.
+are split by sample, the conv stack by neuron. Every split keeps each BLAS
+call the serial code would make, one gemm per sample or per neuron, and
+the elementwise work gives the same bits on any slice, so predictions do
+not depend on the CPU count. The caller allocates every array a worker
+writes, scratch included: a worker that allocated would get its own
+malloc arena and hold its memory. Workers call no other function of this
+module. Their threads end with the call, so a forked child inherits none.
 """
 
 from __future__ import annotations
@@ -355,41 +358,30 @@ def simulate_hidden_stack(layers, dense_in: np.ndarray, chunk: int,
     masks = []
     dense = dense_in
     for layer in layers:
+        if masks:
+            dense = masks[-1].astype(float)
         mask = np.empty((dense.shape[0], layer.n_neurons, dense.shape[-1]), dtype=bool)
         for lo in range(0, dense.shape[0], chunk):
             mask[lo: lo + chunk], _ = simulate_hidden_batch(layer, dense[lo: lo + chunk], dt)
         masks.append(mask)
-        dense = mask.astype(float)
     return masks
 
 
-def output_voltages_batch(layer: LayerParams, dense_spikes: np.ndarray,
+def output_voltages_batch(layer: LayerParams, spikes: np.ndarray,
                           window: tuple[int, int], dt: float = 1.0) -> np.ndarray:
-    """Affine read-out on a window for a batch of spike indicators.
+    """Affine read-out on a window for a (samples, neurons, steps) batch of
+    spike masks or indicators: (samples, outputs, window steps).
 
-    Split by output neuron. Each output's kernel responses (M, N_L, W) are
-    reordered to (M·W, N_L) rows, as ``np.tensordot`` would, and read out
-    by one gemv over all rows.
+    The weights are applied first, one gemm per sample, then each output's
+    window kernel, one (1, steps) @ (steps, window) product per sample and
+    output, so a window's read-out does not depend on its batch.
     """
-    n_samples, n_in, n_steps = dense_spikes.shape
-    width = window[1] - window[0]
-    kernels = [psp_window_matrix(layer.placed_kernel(i), n_steps, window, dt)
-               for i in range(layer.n_neurons)]
-    out = np.empty((n_samples, layer.n_neurons, width))
-    ranges = _split_ranges(layer.n_neurons, dense_spikes.size * layer.n_neurons)
-    scratch = {lo: (np.empty((n_samples, n_in, width)), np.empty((n_samples * width, n_in)),
-                    np.empty(n_samples * width)) for lo, _ in ranges}
-
-    def read_out(lo, hi):
-        psp, rows, row_out = scratch[lo]
-        for i in range(lo, hi):
-            np.matmul(dense_spikes, kernels[i], out=psp)  # (M, N_L, W)
-            rows.reshape(n_samples, width, n_in)[...] = psp.transpose(0, 2, 1)
-            np.dot(rows, layer.weights[i], out=row_out)
-            out[:, i, :] = row_out.reshape(n_samples, width)
-            out[:, i, :] += layer.bias[i]
-
-    _split_run(read_out, ranges)
+    n_steps = spikes.shape[-1]
+    projected = np.matmul(layer.weights, spikes)   # (M, d_out, G)
+    kernels = np.stack([psp_window_matrix(layer.placed_kernel(i), n_steps, window, dt)
+                        for i in range(layer.n_neurons)])   # (d_out, G, W)
+    out = np.matmul(projected[:, :, None, :], kernels)[:, :, 0, :]
+    out += layer.bias[:, None]
     return out
 
 

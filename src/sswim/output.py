@@ -120,15 +120,16 @@ def support_candidates(lo: float, hi: float, alpha: float, count: int) -> Suppor
 def assemble_design(dense_combs: np.ndarray, pk: PlacedKernel,
                     window: tuple[int, int], dt: float = 1.0) -> np.ndarray:
     """Stacked design matrix: a ones column plus one kernel-response column
-    per hidden neuron, rows running over samples x window steps."""
+    per hidden neuron, rows running over samples x window steps.
+
+    Each sample's (W, G) @ (G, N_L) product is written straight into its
+    rows of the design."""
     n_samples, n_hidden, n_steps = dense_combs.shape
     k = psp_window_matrix(pk, n_steps, window, dt)
-    psp = np.matmul(dense_combs, k)                    # (M, N_L, W)
-    width = window[1] - window[0]
-    design = np.empty((n_samples * width, n_hidden + 1))
-    design[:, 0] = 1.0
-    design[:, 1:] = psp.transpose(0, 2, 1).reshape(n_samples * width, n_hidden)
-    return design
+    design = np.empty((n_samples, window[1] - window[0], n_hidden + 1))
+    design[..., 0] = 1.0
+    np.matmul(k.T, dense_combs.transpose(0, 2, 1), out=design[..., 1:])
+    return design.reshape(-1, n_hidden + 1)
 
 
 def _stack_targets(targets: np.ndarray) -> np.ndarray:
@@ -285,9 +286,8 @@ def accumulate_normal_equations(batches, delays: np.ndarray, supports: np.ndarra
             accs[g].add_block(design, stacked[:, cols], combs.shape[0])
     if accs is None:
         raise ValueError("no batches were streamed")
-    remap = [(g, col) for g, col in group_of_neuron]
     return NormalEquations(
-        groups=accs, group_of_neuron=remap, delays=delays, supports=supports
+        groups=accs, group_of_neuron=group_of_neuron, delays=delays, supports=supports
     )
 
 

@@ -262,17 +262,20 @@ def select_metrics(inputs_dense: np.ndarray, targets_dense: np.ndarray,
     """Pick the candidate pair whose sampling distribution has least entropy.
 
     Distance matrices are computed once per candidate and reused across
-    combinations. Ties keep the earliest pair in candidate-list order;
+    combinations; the valid-sample filter depends only on a candidate's
+    lift, so it is computed once per distinct lift. Ties keep the earliest
+    pair in candidate-list order;
     combinations whose distribution is degenerate (or whose entropy falls
     below ``min_entropy``, when given) are skipped.
     """
     if not candidates_in or not candidates_out:
         raise ValueError("candidate sets must be nonempty")
-    mats_in, valids = [], []
+    mats_in, valid_by_lift = [], {}
     for cand in candidates_in:
         mats_in.append(cand.pairwise(inputs_dense, dt))
-        norms = cand.centered_channel_norms(inputs_dense, dt)
-        valids.append(np.any(norms >= min_norm, axis=1))
+        if cand.lift not in valid_by_lift:
+            norms = cand.centered_channel_norms(inputs_dense, dt)
+            valid_by_lift[cand.lift] = np.any(norms >= min_norm, axis=1)
     mats_out = [cand.pairwise(targets_dense, dt) for cand in candidates_out]
     best = None
     best_entropy = np.inf
@@ -280,7 +283,7 @@ def select_metrics(inputs_dense: np.ndarray, targets_dense: np.ndarray,
         for j, cand_out in enumerate(candidates_out):
             try:
                 pairs = pair_probabilities_from_matrices(
-                    mats_in[i], mats_out[j], eps, valids[i]
+                    mats_in[i], mats_out[j], eps, valid_by_lift[cand_in.lift]
                 )
             except DegenerateDistributionError:
                 continue

@@ -139,8 +139,8 @@ def predict_batch(model: SnnModel, inputs: np.ndarray,
     for lo in range(0, inputs.shape[0], batch_size):
         dense = _pad_inputs(inputs[lo: lo + batch_size], grid.total_steps)
         masks = simulate_hidden_stack(model.layers[:-1], dense, batch_size, grid.dt)
-        combs = masks[-1].astype(float) if masks else dense
-        preds.append(output_voltages_batch(model.layers[-1], combs, grid.window, grid.dt))
+        spikes = masks[-1] if masks else dense
+        preds.append(output_voltages_batch(model.layers[-1], spikes, grid.window, grid.dt))
     return np.concatenate(preds, axis=0)
 
 
@@ -191,6 +191,7 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
         for layer_index, n_neurons in enumerate(arch.hidden, start=1):
             lift = None
             if layer_index > 1:
+                latents = masks_xi.astype(float)
                 lift = VanRossumLift(
                     hidden_pspk, cfg.lift_support if cfg.lift_support else cfg.sigma_min
                 )
@@ -220,7 +221,6 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
             )
             hidden_layers.append(layer)
             masks_xi = simulate_hidden_stack([layer], latents, cfg.batch_size)[0]
-            latents = masks_xi.astype(float)
         report.spike_counts = masks_xi.sum(axis=(0, 2)).astype(np.int64)
 
     with _phase("delays", timings):
@@ -292,8 +292,7 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
                              ("valid", valid_cache if lambda_source == "valid" else [])):
             if cache:
                 preds = np.concatenate(
-                    [output_voltages_batch(out_layer, m.astype(float), window)
-                     for m, _ in cache]
+                    [output_voltages_batch(out_layer, m, window) for m, _ in cache]
                 )
                 targets = np.concatenate([t for _, t in cache])
                 report.rse[split] = rse(preds, targets)

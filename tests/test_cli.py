@@ -76,6 +76,15 @@ BAD_VALUES = [
      "noise_sigma"),
     ("dataset", "synth: {kind: multisine, variables: 2, steps: 420, noise_sigma: .inf}",
      "noise_sigma"),
+    ("run", "seeds: 5", "seeds"),
+    ("run", "seeds: [a]", "seeds"),
+    ("run", "seeds: [1, true]", "seeds"),
+    ("run", "seeds: [1.5]", "seeds"),
+    ("run", "seeds: []", "seeds"),
+    ("run", "threads: abc", "threads"),
+    ("run", "threads: 0", "threads"),
+    ("run", "threads: -2", "threads"),
+    ("run", "threads: true", "threads"),
 ]
 
 ABLATION = "ablation:\n  criteria: [dot]\n  normalizers: [ms]\n  neuron_counts: [12]\n"
@@ -226,6 +235,15 @@ class TestAblateCommand:
         path.write_text(with_value(path.read_text(), "ablation", line))
         assert main(["ablate", "--config", str(path)]) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1", "abc"])
+    def test_bad_threads_flag_exits_two_before_any_output(self, tmp_path, capsys, threads):
+        path, out = write_config(tmp_path, extra=ABLATION)
+        with pytest.raises(SystemExit) as info:
+            main(["ablate", "--config", str(path), "--threads", threads])
+        assert info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
         assert not out.exists()
 
     def test_single_cell_sweep(self, tmp_path):

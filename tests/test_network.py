@@ -30,6 +30,7 @@ from sswim.network import (
     simulate_hidden_batch,
     simulate_hidden_stack,
 )
+from sswim.output import assemble_design
 from sswim.signals import SpikeTrainSet
 from sswim.train import predict_batch
 
@@ -370,6 +371,23 @@ class TestOutputVoltages:
         v12 = output_voltages_batch(mk(w1 + w2), combs, (10, 20))[0]
         np.testing.assert_allclose(v12, v1 + v2 - bias[:, None], atol=1e-12)
 
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    def test_read_out_is_the_fit_design_times_the_weights(self, family, dt):
+        rng = np.random.default_rng(21)
+        mask = rng.random((5, 7, 30)) < 0.2
+        layer = output_layer(rng.normal(size=(3, 7)), rng.normal(size=3),
+                             delay=rng.uniform(0.0, 4.0, 3), support=rng.uniform(2.0, 12.0, 3),
+                             family=family)
+        window = (20, 30)
+        out = output_voltages_batch(layer, mask, window, dt)
+        for i in range(3):
+            design = assemble_design(mask.astype(float), layer.placed_kernel(i), window, dt)
+            expected = design @ np.concatenate([[layer.bias[i]], layer.weights[i]])
+            np.testing.assert_allclose(out[:, i].ravel(), expected, rtol=0, atol=1e-12)
+        as_float = output_voltages_batch(layer, mask.astype(float), window, dt)
+        assert out.tobytes() == as_float.tobytes()
+
 
 def tiny_model(rng=None, n_hidden=4):
     rng = rng or np.random.default_rng(0)
@@ -405,14 +423,15 @@ class TestForward:
         x_padded[:, :, :16] = x
         np.testing.assert_array_equal(predict_batch(model, x), predict_batch(model, x_padded))
 
-    def test_predict_batch_without_hidden_layers_matches_forward(self):
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 5])
+    def test_predict_batch_without_hidden_layers_matches_forward(self, batch_size):
         # a batch predicts like each of its windows alone
         rng = np.random.default_rng(11)
         out = output_layer(rng.normal(size=(2, 2)), 0.3, delay=1.0, support=4.0)
         model = SnnModel(layers=[out], d_in=2, d_out=2,
                          grid=GridSpec(dt=1.0, total_steps=24, horizon=8))
         inputs = rng.normal(size=(5, 2, 16))
-        preds = predict_batch(model, inputs, batch_size=2)
+        preds = predict_batch(model, inputs, batch_size=batch_size)
         for x, pred in zip(inputs, preds):
             np.testing.assert_array_equal(pred, predict_batch(model, x[None])[0])
 

@@ -351,6 +351,30 @@ class TestSelectMetrics:
         got_in, got_out = select_metrics(batch, targets, [a, b], [a, b])
         assert got_in is a and got_out is a
 
+    def test_sample_filter_runs_once_per_lift(self, monkeypatch):
+        lifted = []
+        real = Pseudometric.centered_channel_norms
+
+        def counted(self, dense, dt=1.0):
+            lifted.append(self.lift)
+            return real(self, dense, dt)
+
+        monkeypatch.setattr(Pseudometric, "centered_channel_norms", counted)
+        rng = np.random.default_rng(18)
+        batch = (rng.random((6, 3, 32)) < 0.2).astype(float)
+        targets = random_batch(rng, 6, steps=16)
+        lift = VanRossumLift(pspk(KernelFamily.HAT), 3.0)
+        cands = [Pseudometric(spec, lift) for spec in ALL_EMBEDDINGS]
+        cands.append(Pseudometric(EmbeddingSpec("l2")))
+        got = select_metrics(batch, targets, cands, cands[-1:])
+        assert lifted == [lift, None]
+        # each candidate alone keeps its own filter: the choice is the same
+        entropies = []
+        for cand in cands:
+            pairs = pair_probabilities(batch, targets, cand, cands[-1])
+            entropies.append(shannon_entropy(pairs))
+        assert got[0] is cands[int(np.argmin(entropies))]
+
     def test_empty_candidates_rejected(self):
         rng = np.random.default_rng(17)
         batch = random_batch(rng, 4)
