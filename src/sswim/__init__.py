@@ -72,8 +72,8 @@ from .signals import SpikeTrainSet
 from .train import (
     RunReport,
     evaluate_split,
+    iter_ablation,
     predict_batch,
-    run_ablation,
     train_sswim,
 )
 

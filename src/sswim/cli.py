@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
+import itertools
 import json
 import os
 import sys
@@ -115,32 +117,53 @@ def _ablation_row_key(row) -> tuple:
     return (row["criterion"], row["normalizer"], int(row["neurons"]), int(row["seed"]))
 
 
+def _read_manifest(path: str, sections: dict) -> list:
+    """The finished rows of the manifest at ``path``, none without a file.
+    A manifest of other config ``sections``, or in the old list form that
+    records none, raises ConfigError naming it and is left in place."""
+    if not os.path.exists(path):
+        return []
+    with open(path) as fh:
+        doc = json.load(fh)
+    canonical = json.dumps(sections, sort_keys=True)
+    if not isinstance(doc, dict) or json.dumps(doc.get("config"), sort_keys=True) != canonical:
+        raise ConfigError(
+            f"ablation manifest {path} was not written for these dataset, architecture "
+            "and sswim sections; move it away or choose another output directory"
+        )
+    return doc["rows"]
+
+
 def cmd_ablate(args) -> int:
     """Run the sweep, rewriting the manifest after every finished cell so an
-    interrupted sweep resumes from the cells it had finished."""
+    interrupted sweep resumes from the cells it had finished. The manifest
+    keeps every row of its config sections; ``ablation.csv`` only the grid's."""
     from .train import aggregate_ablation, iter_ablation
 
     cfg = load_run_config(args.config)
     if cfg.ablation is None:
         raise ConfigError("config needs an 'ablation' section for the ablate command")
     out_dir = _resolve_out_dir(cfg.out_dir, args.out)
-    dataset = _build_dataset(cfg)
     manifest_path = os.path.join(out_dir, "ablation_manifest.json")
-    done_rows = []
-    if os.path.exists(manifest_path):
-        with open(manifest_path) as fh:
-            done_rows = json.load(fh)
-    done_keys = {tuple(_ablation_row_key(r)) for r in done_rows}
+    sections = {"dataset": dataclasses.asdict(cfg.dataset),
+                "architecture": dataclasses.asdict(cfg.arch),
+                "sswim": dataclasses.asdict(cfg.sswim)}
+    rows = sorted(_read_manifest(manifest_path, sections), key=_ablation_row_key)
+    dataset = _build_dataset(cfg)
+    done_keys = {_ablation_row_key(r) for r in rows}
     workers = cfg.threads if args.threads is None else args.threads
-    rows = sorted(done_rows, key=_ablation_row_key)
+    grid = cfg.ablation
     for row in iter_ablation(
-        dataset, cfg.arch, cfg.sswim,
-        cfg.ablation.criteria, cfg.ablation.normalizers, cfg.ablation.neuron_counts,
+        dataset, cfg.arch, cfg.sswim, grid.criteria, grid.normalizers, grid.neuron_counts,
         cfg.seeds, workers=workers, skip_cells=done_keys,
     ):
         rows.append(row)
         rows.sort(key=_ablation_row_key)
-        write_text_atomic(manifest_path, json.dumps(rows, indent=1))
+        write_text_atomic(manifest_path,
+                          json.dumps({"config": sections, "rows": rows}, indent=1))
+    cells = set(itertools.product(grid.criteria, grid.normalizers, grid.neuron_counts,
+                                  cfg.seeds))
+    rows = [row for row in rows if _ablation_row_key(row) in cells]
     table = io.StringIO()
     writer = csv.writer(table)
     writer.writerow(["criterion", "normalizer", "neurons", "seed", "rse_test", "status"])

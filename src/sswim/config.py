@@ -62,6 +62,10 @@ class SswimConfig:
             raise ConfigError(f"unknown metric mode: {self.metric_mode!r}")
         if self.delay_aggregation not in ("median", "min"):
             raise ConfigError(f"unknown delay aggregation: {self.delay_aggregation!r}")
+        for name in ("subbatch", "sigma_cycle", "support_count", "lambda_count",
+                     "batch_size", "max_retries"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, not {getattr(self, name)!r}")
         if self.subbatch < 2:
             raise ConfigError("subbatch must be at least 2")
         # the rules normalize_ms, normalize_fl and temporal_assignment apply
@@ -85,6 +89,8 @@ class SswimConfig:
                 raise ConfigError(f"{name} must be positive and finite")
         if not 0.0 <= self.min_norm < math.inf:
             raise ConfigError("min_norm must be non-negative and finite")
+        if self.lift_support is not None and not 0.0 < self.lift_support < math.inf:
+            raise ConfigError("lift_support must be positive and finite when set")
         self.metric_candidates = tuple(self.metric_candidates)
         if not self.metric_candidates:
             raise ConfigError("metric_candidates must not be empty")
@@ -102,7 +108,7 @@ class SswimConfig:
 
     def support_grid(self, horizon: int) -> SupportCandidates:
         """Output-support candidates; ``support_max`` defaults to 2 * horizon."""
-        hi = self.support_max if self.support_max else 2.0 * horizon
+        hi = 2.0 * horizon if self.support_max is None else self.support_max
         return support_candidates(self.support_min, hi, self.support_alpha, self.support_count)
 
 

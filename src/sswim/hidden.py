@@ -72,17 +72,17 @@ def _fix_sign(w: np.ndarray) -> np.ndarray:
     return -w if w[k] < 0 else w
 
 
-def separation_matrix(psi1: np.ndarray, psi2: np.ndarray, dt: float = 1.0) -> np.ndarray:
+def separation_matrix(psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
     diff = psi1 - psi2
-    return (diff @ diff.T) * dt
+    return diff @ diff.T
 
 
-def overlap_matrix(psi1: np.ndarray, psi2: np.ndarray, dt: float = 1.0) -> np.ndarray:
+def overlap_matrix(psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
     cross = psi1 @ psi2.T
-    return 0.5 * (cross + cross.T) * dt
+    return 0.5 * (cross + cross.T)
 
 
-def weight_dist(psi1: np.ndarray, psi2: np.ndarray, dt: float = 1.0) -> np.ndarray:
+def weight_dist(psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
     """Unit vector maximizing the squared voltage separation of a pair."""
     psi1 = np.atleast_2d(np.asarray(psi1, dtype=float))
     psi2 = np.atleast_2d(np.asarray(psi2, dtype=float))
@@ -90,18 +90,18 @@ def weight_dist(psi1: np.ndarray, psi2: np.ndarray, dt: float = 1.0) -> np.ndarr
         raise ValueError("pair contributions must have equal shapes")
     if np.array_equal(psi1, psi2):
         raise TrivialPairError("identical contributions give a zero criterion matrix")
-    a = separation_matrix(psi1, psi2, dt)
+    a = separation_matrix(psi1, psi2)
     _, vecs = np.linalg.eigh(a)
     return _fix_sign(vecs[:, -1])
 
 
-def weight_dot(psi1: np.ndarray, psi2: np.ndarray, dt: float = 1.0) -> np.ndarray:
+def weight_dot(psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
     """Unit vector minimizing the voltage overlap of a pair."""
     psi1 = np.atleast_2d(np.asarray(psi1, dtype=float))
     psi2 = np.atleast_2d(np.asarray(psi2, dtype=float))
     if psi1.shape != psi2.shape:
         raise ValueError("pair contributions must have equal shapes")
-    a = overlap_matrix(psi1, psi2, dt)
+    a = overlap_matrix(psi1, psi2)
     if not np.any(a):
         w = np.zeros(psi1.shape[0])
         w[0] = 1.0
@@ -230,7 +230,6 @@ def build_hidden_layer(layer_index: int, n_layers: int, n_neurons: int,
                        obs_len: int, horizon: int,
                        d_in: Pseudometric, d_out: Pseudometric,
                        cfg, rng: np.random.Generator,
-                       dt: float = 1.0,
                        chunk: int = 256) -> tuple[LayerParams, dict]:
     """Assemble one hidden layer over the initialization batch.
 
@@ -252,7 +251,7 @@ def build_hidden_layer(layer_index: int, n_layers: int, n_neurons: int,
     if cfg.weight_criterion != "random":
         pairs = pair_probabilities(
             latents, targets, d_in, d_out,
-            eps=cfg.epsilon, min_norm=cfg.min_norm, dt=dt,
+            eps=cfg.epsilon, min_norm=cfg.min_norm,
         )
 
     q0 = rfk_spec.evaluate(0.0)
@@ -264,7 +263,7 @@ def build_hidden_layer(layer_index: int, n_layers: int, n_neurons: int,
     cost = np.empty(n_neurons)
     chosen_pairs = []
 
-    convs = kernel_conv_stack(pspk_spec, assign.delay, assign.support, n_steps, dt)
+    convs = kernel_conv_stack(pspk_spec, assign.delay, assign.support, n_steps)
     for i in range(n_neurons):
         conv = convs[i]
         for attempt in range(cfg.max_retries + 1):
@@ -277,9 +276,9 @@ def build_hidden_layer(layer_index: int, n_layers: int, n_neurons: int,
                     psi1 = latents[pair[0]] @ conv.T
                     psi2 = latents[pair[1]] @ conv.T
                     if cfg.weight_criterion == "dist":
-                        w_dir = weight_dist(psi1, psi2, dt)
+                        w_dir = weight_dist(psi1, psi2)
                     elif cfg.weight_criterion == "dot":
-                        w_dir = weight_dot(psi1, psi2, dt)
+                        w_dir = weight_dot(psi1, psi2)
                     else:
                         raise ValueError(
                             f"unknown weight criterion: {cfg.weight_criterion!r}"

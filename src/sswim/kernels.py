@@ -117,16 +117,14 @@ class PlacedKernel:
         out = self.spec.place(np.atleast_1d(t), self.delay, self.support)
         return float(out[0]) if scalar else out
 
-    def taps(self, grid_len: int, dt: float = 1.0) -> np.ndarray:
-        """Samples at t = 0, dt, ..., (grid_len - 1) * dt."""
+    def taps(self, grid_len: int) -> np.ndarray:
+        """Samples at the steps t = 0, 1, ..., grid_len - 1."""
         if grid_len <= 0:
             raise EmptyGridError("cannot discretize on an empty grid")
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        return self.sample_at(np.arange(grid_len) * dt)
+        return self.sample_at(np.arange(grid_len))
 
 
-def tap_span(delay, support, dt: float = 1.0):
-    """Number of grid steps after which a kernel placed at ``delay`` with
+def tap_span(delay, support):
+    """Number of steps after which a kernel placed at ``delay`` with
     ``support`` is surely zero; elementwise over arrays of placements."""
-    return np.floor((np.asarray(delay) + support) / dt).astype(int) + 1
+    return np.floor(np.asarray(delay) + support).astype(int) + 1

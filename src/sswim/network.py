@@ -8,7 +8,10 @@ read-out of kernel responses to the last hidden layer's spikes.
 
 Simulation is strictly causal and discrete: one threshold test per neuron
 per step, at most one spike per step, and the refractory term only ever
-sees strictly past spikes.
+sees strictly past spikes. Models live on the unit-step grid: kernels are
+sampled at the lags 0, 1, 2, ... through ``KernelSpec.place``, by
+``kernel_conv_stack`` and ``refractory_taps``. A finer grid is the unit
+grid with every delay and support divided by its step.
 
 A hidden layer's drive is built in two products: the weights project the
 inputs to one trace per neuron, then one batched ``matmul`` applies the
@@ -23,9 +26,10 @@ would do, in the same order, so results are bit for bit those of that loop.
 
 The output layer is linear too, so its read-out applies the weights
 first: one (outputs, neurons) product per sample contracts the spikes to
-one trace per output, and each output's (steps, window) kernel matrix is
-then applied to its own trace. That is the design row of the output fit
-(``output.assemble_design``) times the weights, up to rounding.
+one trace per output, and each output's (steps, window) kernel matrix, the
+window rows of its conv stack, is then applied to its own trace. That is
+the design row of the output fit (``output.assemble_design``) times the
+weights, up to rounding.
 
 The hidden layers run on every available CPU. ``_split_run`` cuts an axis
 into one contiguous range per CPU, when the work is large enough to pay
@@ -109,20 +113,15 @@ class LayerParams:
 
 @dataclass
 class GridSpec:
-    """Time grid of a model: dt, total steps, and the forecast horizon."""
+    """Unit-step time grid of a model: total steps and the forecast horizon."""
 
-    dt: float = 1.0
     total_steps: int = 0
     horizon: int = 0
 
     @property
-    def obs_steps(self) -> int:
-        return self.total_steps - self.horizon
-
-    @property
     def window(self) -> tuple[int, int]:
         """The forecast window [T, T+H) in step indices."""
-        return (self.obs_steps, self.total_steps)
+        return (self.total_steps - self.horizon, self.total_steps)
 
 
 @dataclass
@@ -230,46 +229,30 @@ def causal_conv_matrix(taps: np.ndarray, n_steps: int) -> np.ndarray:
     return c
 
 
-def psp_window_matrix(pk: PlacedKernel, n_steps: int, window: tuple[int, int],
-                      dt: float = 1.0) -> np.ndarray:
-    """K[t, h] = placed kernel evaluated at (window[0] + h - t) * dt.
-
-    For a spike indicator ``comb`` of shape (..., n_steps), ``comb @ K``
-    yields the kernel response on the window.
-    """
-    lo, hi = window
-    t = np.arange(n_steps) * dt
-    h = (lo + np.arange(hi - lo)) * dt
-    return pk.sample_at(h[None, :] - t[:, None])
-
-
-def kernel_conv_stack(spec: KernelSpec, delay, support, n_steps: int,
-                      dt: float = 1.0) -> np.ndarray:
+def kernel_conv_stack(spec: KernelSpec, delay, support, n_steps: int) -> np.ndarray:
     """Causal convolution matrices (neurons, n_steps, n_steps) of ``spec``
     placed at each neuron's ``delay`` and ``support``; ``x @ C[i].T`` is
-    neuron i's kernel response to ``x``.
+    neuron i's kernel response to ``x``, and rows [lo, hi) of ``C[i]`` give
+    that response on the window [lo, hi).
 
     Each neuron's taps end at its own tap span, as ``PlacedKernel.taps``
     would give them, so slice i equals ``kernel_conv_matrix`` of neuron i.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     delay = np.asarray(delay, dtype=float)[:, None]
     support = np.asarray(support, dtype=float)[:, None]
-    spans = np.minimum(tap_span(delay, support, dt), n_steps)
+    spans = np.minimum(tap_span(delay, support), n_steps)
     lags = np.arange(spans.max())
-    taps = np.where(lags < spans, spec.place(lags * dt, delay, support), 0.0)
+    taps = np.where(lags < spans, spec.place(lags, delay, support), 0.0)
     return causal_conv_matrix(taps, n_steps)
 
 
-def kernel_conv_matrix(pk: PlacedKernel, n_steps: int, dt: float = 1.0) -> np.ndarray:
+def kernel_conv_matrix(pk: PlacedKernel, n_steps: int) -> np.ndarray:
     """Causal convolution matrix of a placed kernel on an ``n_steps`` grid;
     ``x @ C.T`` is the kernel response to ``x``."""
-    return kernel_conv_stack(pk.spec, [pk.delay], [pk.support], n_steps, dt)[0]
+    return kernel_conv_stack(pk.spec, [pk.delay], [pk.support], n_steps)[0]
 
 
-def hidden_drive_batch(layer: LayerParams, dense_in: np.ndarray,
-                       dt: float = 1.0) -> np.ndarray:
+def hidden_drive_batch(layer: LayerParams, dense_in: np.ndarray) -> np.ndarray:
     """Input contribution plus bias for a batch: (samples, neurons, steps).
 
     Exploits linearity: the weighted sum of per-channel kernel responses
@@ -277,7 +260,7 @@ def hidden_drive_batch(layer: LayerParams, dense_in: np.ndarray,
     is split by sample, the conv stack by neuron.
     """
     n_samples, n_steps = dense_in.shape[0], dense_in.shape[-1]
-    stack = kernel_conv_stack(layer.pspk, layer.delay, layer.support, n_steps, dt)
+    stack = kernel_conv_stack(layer.pspk, layer.delay, layer.support, n_steps)
     projected = np.empty((n_samples, layer.n_neurons, n_steps))
 
     def project(lo, hi):
@@ -296,19 +279,15 @@ def hidden_drive_batch(layer: LayerParams, dense_in: np.ndarray,
     return drive
 
 
-def refractory_taps(layer: LayerParams, dt: float = 1.0) -> np.ndarray:
-    """Per-neuron refractory kernel taps at lags 1..D (lag 0 excluded)."""
-    max_lag = int(np.floor(np.max(layer.rf_support) / dt))
-    if max_lag < 1:
-        return np.zeros((layer.n_neurons, 0))
-    lags = np.arange(1, max_lag + 1) * dt
-    x = lags[None, :] / layer.rf_support[:, None]
-    taps = layer.rfk.evaluate(x.ravel()).reshape(x.shape)
-    return np.where(x <= 1.0, taps, 0.0)
+def refractory_taps(layer: LayerParams) -> np.ndarray:
+    """Per-neuron refractory kernel taps at lags 1..D (lag 0 excluded), D the
+    longest refractory support; a neuron's taps are zero beyond its own."""
+    lags = np.arange(1, int(np.max(layer.rf_support)) + 1)
+    return layer.rfk.place(lags, 0.0, layer.rf_support[:, None])
 
 
-def simulate_hidden_batch(layer: LayerParams, dense_in: np.ndarray,
-                          dt: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def simulate_hidden_batch(layer: LayerParams,
+                          dense_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Run a hidden layer over a batch; returns (spike mask, voltages),
     both (samples, neurons, steps).
 
@@ -319,7 +298,7 @@ def simulate_hidden_batch(layer: LayerParams, dense_in: np.ndarray,
     """
     if not layer.is_hidden:
         raise ValueError("simulate_hidden_batch needs a hidden layer")
-    drive = hidden_drive_batch(layer, dense_in, dt)
+    drive = hidden_drive_batch(layer, dense_in)
     volt = np.empty((drive.shape[2], drive.shape[0], drive.shape[1]))
 
     def transpose(lo, hi):
@@ -330,7 +309,7 @@ def simulate_hidden_batch(layer: LayerParams, dense_in: np.ndarray,
     _split_run(transpose, ranges)
     del drive
     # row d - 1 holds every neuron's spike cost d steps after its spike
-    cost_rows = np.ascontiguousarray((layer.spike_cost[:, None] * refractory_taps(layer, dt)).T)
+    cost_rows = np.ascontiguousarray((layer.spike_cost[:, None] * refractory_taps(layer)).T)
     lags = [d for d in range(1, len(cost_rows) + 1) if np.any(cost_rows[d - 1])]
     spiked = np.empty(volt.shape, dtype=bool)
     cost = np.empty(volt.shape[1:])   # the per-lag cost product, one row per sample
@@ -350,8 +329,7 @@ def simulate_hidden_batch(layer: LayerParams, dense_in: np.ndarray,
     return spiked.transpose(1, 2, 0), volt.transpose(1, 2, 0)
 
 
-def simulate_hidden_stack(layers, dense_in: np.ndarray, chunk: int,
-                          dt: float = 1.0) -> list:
+def simulate_hidden_stack(layers, dense_in: np.ndarray, chunk: int) -> list:
     """Spike masks (samples, neurons, steps) of every hidden layer in
     ``layers`` for a dense input batch, each layer simulated ``chunk``
     samples at a time on the previous layer's spikes."""
@@ -362,24 +340,25 @@ def simulate_hidden_stack(layers, dense_in: np.ndarray, chunk: int,
             dense = masks[-1].astype(float)
         mask = np.empty((dense.shape[0], layer.n_neurons, dense.shape[-1]), dtype=bool)
         for lo in range(0, dense.shape[0], chunk):
-            mask[lo: lo + chunk], _ = simulate_hidden_batch(layer, dense[lo: lo + chunk], dt)
+            mask[lo: lo + chunk], _ = simulate_hidden_batch(layer, dense[lo: lo + chunk])
         masks.append(mask)
     return masks
 
 
 def output_voltages_batch(layer: LayerParams, spikes: np.ndarray,
-                          window: tuple[int, int], dt: float = 1.0) -> np.ndarray:
+                          window: tuple[int, int]) -> np.ndarray:
     """Affine read-out on a window for a (samples, neurons, steps) batch of
     spike masks or indicators: (samples, outputs, window steps).
 
     The weights are applied first, one gemm per sample, then each output's
-    window kernel, one (1, steps) @ (steps, window) product per sample and
-    output, so a window's read-out does not depend on its batch.
+    window kernel, the window rows of its conv stack, one
+    (1, steps) @ (steps, window) product per sample and output, so a
+    window's read-out does not depend on its batch.
     """
-    n_steps = spikes.shape[-1]
     projected = np.matmul(layer.weights, spikes)   # (M, d_out, G)
-    kernels = np.stack([psp_window_matrix(layer.placed_kernel(i), n_steps, window, dt)
-                        for i in range(layer.n_neurons)])   # (d_out, G, W)
+    stack = kernel_conv_stack(layer.pspk, layer.delay, layer.support, spikes.shape[-1])
+    kernels = np.ascontiguousarray(
+        stack[:, window[0]: window[1]].transpose(0, 2, 1))   # (d_out, G, W)
     out = np.matmul(projected[:, :, None, :], kernels)[:, :, 0, :]
     out += layer.bias[:, None]
     return out
@@ -460,7 +439,7 @@ def model_to_dict(model: SnnModel) -> dict:
         "d_in": model.d_in,
         "d_out": model.d_out,
         "grid": {
-            "dt": model.grid.dt,
+            "dt": 1.0,
             "total_steps": model.grid.total_steps,
             "horizon": model.grid.horizon,
         },
@@ -471,10 +450,13 @@ def model_to_dict(model: SnnModel) -> dict:
 
 def model_from_dict(d: dict) -> SnnModel:
     """Inverse of ``model_to_dict``; a missing or wrong-typed field raises
-    ValueError naming it."""
+    ValueError naming it, as does a grid step ``dt`` other than 1."""
     if not isinstance(d, dict) or d.get("format") != "sswim-model-v1":
         raise ValueError("not a recognized model file")
     grid = _field(d, "grid", dict, "an object")
+    dt = _field(grid, "dt", (int, float), "a number")
+    if dt != 1.0:
+        raise ValueError(f"model field 'dt' must be 1 (the unit-step grid), not {dt!r}")
     layers = _field(d, "layers", list, "an array")
     if not all(isinstance(ld, dict) for ld in layers):
         raise ValueError("model field 'layers' must hold objects")
@@ -483,7 +465,6 @@ def model_from_dict(d: dict) -> SnnModel:
         d_in=_field(d, "d_in", int, "an integer"),
         d_out=_field(d, "d_out", int, "an integer"),
         grid=GridSpec(
-            dt=_field(grid, "dt", (int, float), "a number"),
             total_steps=_field(grid, "total_steps", int, "an integer"),
             horizon=_field(grid, "horizon", int, "an integer"),
         ),

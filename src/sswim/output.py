@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import EigensolverError, LambdaSearchError, SilentNetworkError
 from .kernels import KernelSpec, PlacedKernel, kernel_peak_offset
-from .network import psp_window_matrix
+from .network import kernel_conv_matrix
 from .signals import spike_mask
 
 
@@ -45,7 +45,7 @@ def _aggregate_delays(delays: np.ndarray, how: str) -> float:
 
 def estimate_delays(spikes, targets: np.ndarray, pspk_spec: KernelSpec,
                     obs_len: int, window_start: int,
-                    aggregation: str = "median", dt: float = 1.0) -> DelayEstimate:
+                    aggregation: str = "median") -> DelayEstimate:
     """Correlation-based delay per output neuron.
 
     ``spikes`` is the hidden-layer output on the initialization batch: a
@@ -79,7 +79,7 @@ def estimate_delays(spikes, targets: np.ndarray, pspk_spec: KernelSpec,
         per_train = np.add.reduceat(gathered, starts, axis=1)      # (d_out, J, O)
         agg += np.abs(per_train).sum(axis=1)
     delta_k = kernel_peak_offset(pspk_spec)
-    per_neuron = np.clip(np.argmax(agg, axis=1) * dt - delta_k, 0.0, (obs_len - 1) * dt)
+    per_neuron = np.clip(np.argmax(agg, axis=1) - delta_k, 0.0, obs_len - 1)
     return DelayEstimate(
         per_neuron=per_neuron,
         aggregate=_aggregate_delays(per_neuron, aggregation),
@@ -118,17 +118,18 @@ def support_candidates(lo: float, hi: float, alpha: float, count: int) -> Suppor
 
 
 def assemble_design(dense_combs: np.ndarray, pk: PlacedKernel,
-                    window: tuple[int, int], dt: float = 1.0) -> np.ndarray:
+                    window: tuple[int, int]) -> np.ndarray:
     """Stacked design matrix: a ones column plus one kernel-response column
     per hidden neuron, rows running over samples x window steps.
 
-    Each sample's (W, G) @ (G, N_L) product is written straight into its
-    rows of the design."""
+    The kernel is the window rows of ``kernel_conv_matrix``. Each sample's
+    (W, G) @ (G, N_L) product is written straight into its rows of the
+    design."""
     n_samples, n_hidden, n_steps = dense_combs.shape
-    k = psp_window_matrix(pk, n_steps, window, dt)
+    k = np.asfortranarray(kernel_conv_matrix(pk, n_steps)[window[0]: window[1]])
     design = np.empty((n_samples, window[1] - window[0], n_hidden + 1))
     design[..., 0] = 1.0
-    np.matmul(k.T, dense_combs.transpose(0, 2, 1), out=design[..., 1:])
+    np.matmul(k, dense_combs.transpose(0, 2, 1), out=design[..., 1:])
     return design.reshape(-1, n_hidden + 1)
 
 
@@ -156,20 +157,20 @@ def projection_residuals(design: np.ndarray, stacked_targets: np.ndarray) -> np.
 
 def residual_for_candidate(spikes, targets: np.ndarray,
                            tau_bar: float, sigma_c: float, pspk_spec: KernelSpec,
-                           window: tuple[int, int], dt: float = 1.0) -> np.ndarray:
+                           window: tuple[int, int]) -> np.ndarray:
     """Optimal least-squares residual norms per output neuron for one support.
 
     ``spikes`` is a boolean (samples, neurons, steps) mask or one
     SpikeTrainSet per sample.
     """
     combs = spike_mask(spikes).astype(float)
-    design = assemble_design(combs, PlacedKernel(pspk_spec, tau_bar, sigma_c), window, dt)
+    design = assemble_design(combs, PlacedKernel(pspk_spec, tau_bar, sigma_c), window)
     return projection_residuals(design, _stack_targets(targets))
 
 
 def select_supports(spikes, targets: np.ndarray, delays: DelayEstimate,
                     candidates: SupportCandidates, pspk_spec: KernelSpec,
-                    window: tuple[int, int], dt: float = 1.0) -> np.ndarray:
+                    window: tuple[int, int]) -> np.ndarray:
     """Residual-minimizing support per output neuron over the candidate grid.
 
     ``spikes`` is a boolean (samples, neurons, steps) mask or one
@@ -184,7 +185,7 @@ def select_supports(spikes, targets: np.ndarray, delays: DelayEstimate,
     residuals = np.empty((candidates.count, targets.shape[1]))
     for c, sigma_c in enumerate(candidates.values):
         design = assemble_design(
-            combs, PlacedKernel(pspk_spec, delays.aggregate, float(sigma_c)), window, dt
+            combs, PlacedKernel(pspk_spec, delays.aggregate, float(sigma_c)), window
         )
         residuals[c] = projection_residuals(design, stacked)
     tol = max(design.shape) * np.finfo(float).eps * np.sum(stacked**2, axis=0)
@@ -259,8 +260,8 @@ def _dedupe_params(delays: np.ndarray, supports: np.ndarray):
 
 
 def accumulate_normal_equations(batches, delays: np.ndarray, supports: np.ndarray,
-                                pspk_spec: KernelSpec, window: tuple[int, int],
-                                dt: float = 1.0) -> NormalEquations:
+                                pspk_spec: KernelSpec,
+                                window: tuple[int, int]) -> NormalEquations:
     """Stream (spikes, targets) batches into per-neuron normal equations.
 
     ``batches`` yields tuples of a boolean (samples, neurons, steps) spike
@@ -280,9 +281,7 @@ def accumulate_normal_equations(batches, delays: np.ndarray, supports: np.ndarra
             n_features = combs.shape[1] + 1
             accs = [GramAccumulator(n_features, len(m)) for m in members]
         for g, (key, cols) in enumerate(zip(keys, members)):
-            design = assemble_design(
-                combs, PlacedKernel(pspk_spec, key[0], key[1]), window, dt
-            )
+            design = assemble_design(combs, PlacedKernel(pspk_spec, key[0], key[1]), window)
             accs[g].add_block(design, stacked[:, cols], combs.shape[0])
     if accs is None:
         raise ValueError("no batches were streamed")

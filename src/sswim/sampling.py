@@ -59,13 +59,13 @@ class EmbeddingSpec:
         return cls(text)
 
 
-def embed(spec: EmbeddingSpec, values, dt: float = 1.0) -> np.ndarray:
+def embed(spec: EmbeddingSpec, values) -> np.ndarray:
     """Apply an embedding to a (channels, steps) array; may return complex."""
     values = np.asarray(values, dtype=float)
     if spec.kind == "l2":
         return values.copy()
     if spec.kind == "cos":
-        norm = np.sqrt(np.sum(values * values) * dt)
+        norm = np.sqrt(np.sum(values * values))
         if norm == 0.0:
             return values.copy()
         return values / norm
@@ -95,9 +95,9 @@ class VanRossumLift:
     kernel: KernelSpec
     support: float = 1.0
 
-    def apply_batch(self, dense_combs: np.ndarray, dt: float = 1.0) -> np.ndarray:
+    def apply_batch(self, dense_combs: np.ndarray) -> np.ndarray:
         pk = PlacedKernel(self.kernel, 0.0, self.support)
-        return dense_combs @ kernel_conv_matrix(pk, dense_combs.shape[-1], dt).T
+        return dense_combs @ kernel_conv_matrix(pk, dense_combs.shape[-1]).T
 
 
 @dataclass(frozen=True)
@@ -113,24 +113,23 @@ class Pseudometric:
             return self.embedding.name
         return f"vr[{self.lift.kernel.family.value}]+{self.embedding.name}"
 
-    def prepare_batch(self, dense: np.ndarray, dt: float = 1.0) -> np.ndarray:
-        """Centered, embedded, quadrature-weighted flat vector per sample of a
-        (samples, channels, steps) array, lifted first when the metric has a
-        lift."""
+    def prepare_batch(self, dense: np.ndarray) -> np.ndarray:
+        """Centered, embedded flat vector per sample of a (samples, channels,
+        steps) array, lifted first when the metric has a lift."""
         if self.lift is not None:
-            dense = self.lift.apply_batch(dense, dt)
+            dense = self.lift.apply_batch(dense)
         centered = dense - dense.mean(axis=-1, keepdims=True)
-        rows = [embed(self.embedding, centered[i], dt).ravel() for i in range(dense.shape[0])]
-        return np.stack(rows) * np.sqrt(dt)
+        return np.stack([embed(self.embedding, centered[i]).ravel()
+                         for i in range(dense.shape[0])])
 
-    def centered_channel_norms(self, dense: np.ndarray, dt: float = 1.0) -> np.ndarray:
+    def centered_channel_norms(self, dense: np.ndarray) -> np.ndarray:
         """Per-channel L2 norms after lifting and centering: (samples, channels)."""
         if self.lift is not None:
-            dense = self.lift.apply_batch(dense, dt)
+            dense = self.lift.apply_batch(dense)
         centered = dense - dense.mean(axis=-1, keepdims=True)
-        return np.sqrt(np.sum(centered * centered, axis=-1) * dt)
+        return np.sqrt(np.sum(centered * centered, axis=-1))
 
-    def distance(self, a, b, dt: float = 1.0) -> float:
+    def distance(self, a, b) -> float:
         """Distance between two (channels, steps) samples; a SpikeTrainSet
         is taken as its 0/1 indicator and needs a metric with a lift."""
         pair = []
@@ -140,12 +139,12 @@ class Pseudometric:
                     raise ValueError("spike-train inputs need a pseudometric with a lift")
                 sample = sample.to_dense()
             pair.append(np.asarray(sample, dtype=float))
-        va, vb = self.prepare_batch(np.stack(pair), dt)
+        va, vb = self.prepare_batch(np.stack(pair))
         return float(np.linalg.norm(va - vb))
 
-    def pairwise(self, dense: np.ndarray, dt: float = 1.0) -> np.ndarray:
+    def pairwise(self, dense: np.ndarray) -> np.ndarray:
         """Full symmetric distance matrix over a batch of samples."""
-        vecs = self.prepare_batch(dense, dt)
+        vecs = self.prepare_batch(dense)
         sq = np.sum((vecs * vecs.conj()).real, axis=1)
         gram = (vecs @ vecs.conj().T).real
         d2 = sq[:, None] + sq[None, :] - 2.0 * gram
@@ -219,8 +218,7 @@ def pair_probabilities_from_matrices(dist_in: np.ndarray, dist_out: np.ndarray,
 
 def pair_probabilities(inputs_dense: np.ndarray, targets_dense: np.ndarray,
                        d_in: Pseudometric, d_out: Pseudometric,
-                       eps: float = 1e-6, min_norm: float = 1e-6,
-                       dt: float = 1.0) -> PairProbabilities:
+                       eps: float = 1e-6, min_norm: float = 1e-6) -> PairProbabilities:
     """Pair distribution over an initialization batch.
 
     A sample is filtered out (all its pairs get probability zero) when every
@@ -231,9 +229,9 @@ def pair_probabilities(inputs_dense: np.ndarray, targets_dense: np.ndarray,
         raise ValueError("inputs and targets must have the same sample count")
     if inputs_dense.shape[0] < 2:
         raise ValueError("need at least two samples to form pairs")
-    dist_in = d_in.pairwise(inputs_dense, dt)
-    dist_out = d_out.pairwise(targets_dense, dt)
-    norms = d_in.centered_channel_norms(inputs_dense, dt)
+    dist_in = d_in.pairwise(inputs_dense)
+    dist_out = d_out.pairwise(targets_dense)
+    norms = d_in.centered_channel_norms(inputs_dense)
     valid = np.any(norms >= min_norm, axis=1)
     return pair_probabilities_from_matrices(dist_in, dist_out, eps, valid)
 
@@ -257,8 +255,7 @@ def shannon_entropy(probs) -> float:
 def select_metrics(inputs_dense: np.ndarray, targets_dense: np.ndarray,
                    candidates_in, candidates_out,
                    eps: float = 1e-6, min_norm: float = 1e-6,
-                   min_entropy: float | None = None,
-                   dt: float = 1.0) -> tuple[Pseudometric, Pseudometric]:
+                   min_entropy: float | None = None) -> tuple[Pseudometric, Pseudometric]:
     """Pick the candidate pair whose sampling distribution has least entropy.
 
     Distance matrices are computed once per candidate and reused across
@@ -272,11 +269,11 @@ def select_metrics(inputs_dense: np.ndarray, targets_dense: np.ndarray,
         raise ValueError("candidate sets must be nonempty")
     mats_in, valid_by_lift = [], {}
     for cand in candidates_in:
-        mats_in.append(cand.pairwise(inputs_dense, dt))
+        mats_in.append(cand.pairwise(inputs_dense))
         if cand.lift not in valid_by_lift:
-            norms = cand.centered_channel_norms(inputs_dense, dt)
+            norms = cand.centered_channel_norms(inputs_dense)
             valid_by_lift[cand.lift] = np.any(norms >= min_norm, axis=1)
-    mats_out = [cand.pairwise(targets_dense, dt) for cand in candidates_out]
+    mats_out = [cand.pairwise(targets_dense) for cand in candidates_out]
     best = None
     best_entropy = np.inf
     for i, cand_in in enumerate(candidates_in):

@@ -1,7 +1,7 @@
 """Spike trains at the API boundary.
 
-Everything in the package lives on a uniform time grid with step ``dt``
-(1 timestep by default) and works on batches: real-valued signals are
+Everything in the package lives on the unit-step time grid (one step per
+sample of a series) and works on batches: real-valued signals are
 dense (samples, channels, steps) arrays and spikes are boolean masks of
 shape (samples, neurons, steps). ``SpikeTrainSet`` (sorted step indices
 per neuron, one sample) is the only boundary type: public functions that

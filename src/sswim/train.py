@@ -23,7 +23,7 @@ from .config import ModelArch, SswimConfig
 from .datasets import ForecastDataset, rse
 from .errors import PipelineError, SswimError
 from .hidden import build_hidden_layer
-from .kernels import PlacedKernel, pspk, rfk
+from .kernels import pspk, rfk
 from .network import (
     GridSpec,
     LayerParams,
@@ -133,14 +133,14 @@ def predict_batch(model: SnnModel, inputs: np.ndarray,
                   batch_size: int = 256) -> np.ndarray:
     """The forward pass: predictions (samples, d_out, horizon) on the
     forecast window for raw (samples, d_in, steps) observation windows,
-    zero-padded to the model's grid and simulated with its ``dt``."""
+    zero-padded to the model's grid."""
     grid = model.grid
     preds = []
     for lo in range(0, inputs.shape[0], batch_size):
         dense = _pad_inputs(inputs[lo: lo + batch_size], grid.total_steps)
-        masks = simulate_hidden_stack(model.layers[:-1], dense, batch_size, grid.dt)
+        masks = simulate_hidden_stack(model.layers[:-1], dense, batch_size)
         spikes = masks[-1] if masks else dense
-        preds.append(output_voltages_batch(model.layers[-1], spikes, grid.window, grid.dt))
+        preds.append(output_voltages_batch(model.layers[-1], spikes, grid.window))
     return np.concatenate(preds, axis=0)
 
 
@@ -193,7 +193,8 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
             if layer_index > 1:
                 latents = masks_xi.astype(float)
                 lift = VanRossumLift(
-                    hidden_pspk, cfg.lift_support if cfg.lift_support else cfg.sigma_min
+                    hidden_pspk,
+                    cfg.sigma_min if cfg.lift_support is None else cfg.lift_support,
                 )
             if cfg.weight_criterion == "random":
                 # weights ignore the pair distribution; no metric is consulted
@@ -265,7 +266,7 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
         model = SnnModel(
             layers=hidden_layers + [out_layer],
             d_in=d_in, d_out=d_out,
-            grid=GridSpec(dt=1.0, total_steps=total_steps, horizon=horizon),
+            grid=GridSpec(total_steps=total_steps, horizon=horizon),
             metadata={
                 "seed": seed,
                 "metric_in": report.metric_in,
@@ -279,8 +280,7 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
         counts_sq = np.concatenate([m.sum(axis=2) for m, _ in train_cache], axis=0)
         for i in range(d_out):
             acc, _ = train_ne.accumulator_for(i)
-            pk = PlacedKernel(output_pspk, float(delays.per_neuron[i]), float(supports[i]))
-            taps = pk.taps(total_steps)
+            taps = out_layer.placed_kernel(i).taps(total_steps)
             report.condition_bounds.append(
                 condition_bound_diagnostic(
                     acc, report.chosen_lambda[i], counts_sq,
@@ -327,24 +327,16 @@ def _ablation_cell(args):
     return row
 
 
-def run_ablation(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
-                 criteria, normalizers, neuron_counts, seeds,
-                 workers: int = 1, skip_cells=None) -> list:
-    """Cartesian sweep over criteria x normalizers x neuron counts x seeds.
-
-    Returns one row dict per run. Failed cells are flagged in their row and
-    do not abort the sweep. ``skip_cells`` may hold already-completed
-    (criterion, normalizer, neurons, seed) tuples (resume support).
-    """
-    return list(iter_ablation(dataset, arch, cfg, criteria, normalizers, neuron_counts,
-                              seeds, workers, skip_cells))
-
-
 def iter_ablation(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
                   criteria, normalizers, neuron_counts, seeds,
                   workers: int = 1, skip_cells=None):
-    """``run_ablation``, yielding each row as soon as its cell finishes
-    (in completion order when ``workers > 1``)."""
+    """Cartesian sweep over criteria x normalizers x neuron counts x seeds.
+
+    Yields one row dict per run as soon as its cell finishes (in completion
+    order when ``workers > 1``). Failed cells are flagged in their row and
+    do not abort the sweep. ``skip_cells`` may hold already-completed
+    (criterion, normalizer, neurons, seed) tuples (resume support).
+    """
     skip_cells = set(skip_cells or ())
     jobs = []
     for criterion in criteria:

@@ -67,6 +67,17 @@ BAD_VALUES = [
     ("sswim", "min_norm: .nan", "min_norm"),
     ("sswim", "metric_candidates: []", "metric_candidates"),
     ("sswim", "metric_candidates: [l2, bogus]", "metric_candidates"),
+    ("sswim", "subbatch: 50.5", "subbatch"),
+    ("sswim", "sigma_cycle: 3.5", "sigma_cycle"),
+    ("sswim", "support_count: 2.5", "support_count"),
+    ("sswim", "lambda_count: 6.0", "lambda_count"),
+    ("sswim", "batch_size: 2.5", "batch_size"),
+    ("sswim", "max_retries: 1.5", "max_retries"),
+    ("sswim", "max_retries: true", "max_retries"),
+    ("sswim", "lift_support: -1.0", "lift_support"),
+    ("sswim", "lift_support: 0", "lift_support"),
+    ("sswim", "lift_support: .inf", "lift_support"),
+    ("sswim", "support_max: 0", "support grid"),
     ("dataset", "stride: 0", "stride"),
     ("dataset", "ratios: [0.5, 0.5, 0.5]", "ratios"),
     ("dataset", "synth: {kind: bogus, variables: 2, steps: 420, seed: 7}", "kind"),
@@ -305,7 +316,7 @@ class TestAblateCommand:
         monkeypatch.setattr(sswim.train, "train_sswim", interrupt_third_cell)
         with pytest.raises(KeyboardInterrupt):
             main(["ablate", "--config", str(cfg)])
-        finished = json.loads((out / "ablation_manifest.json").read_text())
+        finished = json.loads((out / "ablation_manifest.json").read_text())["rows"]
         assert [(r["criterion"], r["seed"], r["status"]) for r in finished] == [
             ("dot", 1, "ok"), ("dot", 2, "ok")]
         assert not (out / "ablation.csv").exists()
@@ -315,6 +326,45 @@ class TestAblateCommand:
         assert main(["ablate", "--config", str(cfg)]) == 0
         assert calls == [1, 2]   # only the two random cells ran again
         assert (out / "ablation.csv").read_bytes() == whole
+
+    def test_rerun_on_another_grid_keeps_only_its_cells(self, tmp_path):
+        grid = "ablation:\n  criteria: [dot]\n  normalizers: [ms]\n  neuron_counts: [{}]\n"
+        cfg, out = write_config(tmp_path, extra=grid.format(8))
+        assert main(["ablate", "--config", str(cfg)]) == 0
+        cfg.write_text(cfg.read_text().replace("neuron_counts: [8]", "neuron_counts: [12]"))
+        assert main(["ablate", "--config", str(cfg)]) == 0
+        with open(out / "ablation.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r[2] for r in rows] == ["12", "12"]   # the run row and its mean
+        manifest = json.loads((out / "ablation_manifest.json").read_text())
+        assert [r["neurons"] for r in manifest["rows"]] == [8, 12]
+
+    @pytest.mark.parametrize("line", ["subbatch: 40", "sigma_max: 10.0"])
+    def test_manifest_of_other_sections_exits_two_and_is_kept(self, tmp_path, capsys, line):
+        cfg, out = write_config(tmp_path, extra=ABLATION)
+        assert main(["ablate", "--config", str(cfg)]) == 0
+        manifest = out / "ablation_manifest.json"
+        stamp = manifest.read_bytes()
+        csv_stamp = (out / "ablation.csv").read_bytes()
+        cfg.write_text(with_value(cfg.read_text(), "sswim", line))
+        capsys.readouterr()
+        assert main(["ablate", "--config", str(cfg)]) == 2
+        assert str(manifest) in capsys.readouterr().err
+        assert manifest.read_bytes() == stamp
+        assert (out / "ablation.csv").read_bytes() == csv_stamp
+
+    def test_manifest_in_the_old_list_form_exits_two_and_is_kept(self, tmp_path, capsys):
+        cfg, out = write_config(tmp_path, extra=ABLATION)
+        out.mkdir()
+        manifest = out / "ablation_manifest.json"
+        old = [{"criterion": "dot", "normalizer": "ms", "neurons": 12, "seed": 1,
+                "rse_test": 0.5, "status": "ok"}]
+        manifest.write_text(json.dumps(old, indent=1))
+        stamp = manifest.read_bytes()
+        assert main(["ablate", "--config", str(cfg)]) == 2
+        assert str(manifest) in capsys.readouterr().err
+        assert manifest.read_bytes() == stamp
+        assert not (out / "ablation.csv").exists()
 
 
 class TestInspectCommand:

@@ -19,8 +19,8 @@ from sswim.errors import PipelineError
 from sswim.train import (
     aggregate_ablation,
     evaluate_split,
+    iter_ablation,
     predict_batch,
-    run_ablation,
     train_sswim,
 )
 
@@ -292,15 +292,15 @@ class TestRunAblation:
         monkeypatch.setattr("sswim.train._ablation_cell", cpus_of_worker)
         cells = dict(criteria=("dot",), normalizers=("ms",), neuron_counts=(12,),
                      seeds=(1, 2, 3))
-        assert run_ablation(None, None, None, workers=3, **cells) == [1, 1, 1]
-        assert run_ablation(None, None, None, workers=2, **cells) == [2, 2, 2]
+        assert list(iter_ablation(None, None, None, workers=3, **cells)) == [1, 1, 1]
+        assert list(iter_ablation(None, None, None, workers=2, **cells)) == [2, 2, 2]
         assert network.available_cpus() == 4   # the caller keeps every CPU
 
     def test_single_cell(self):
         ds = small_dataset()
-        rows = run_ablation(ds, ModelArch(hidden=(15,)), small_cfg(),
-                            criteria=("dot",), normalizers=("ms",),
-                            neuron_counts=(15,), seeds=(1,))
+        rows = list(iter_ablation(ds, ModelArch(hidden=(15,)), small_cfg(),
+                                  criteria=("dot",), normalizers=("ms",),
+                                  neuron_counts=(15,), seeds=(1,)))
         assert len(rows) == 1
         assert rows[0]["status"] == "ok"
         assert rows[0]["rse_test"] is not None
@@ -313,17 +313,17 @@ class TestRunAblation:
 
         monkeypatch.setattr("sswim.train.build_hidden_layer", fail)
         ds = small_dataset()
-        rows = run_ablation(ds, ModelArch(hidden=(10,)), small_cfg(),
-                            criteria=("dot",), normalizers=("ms",),
-                            neuron_counts=(10,), seeds=(1,))
+        rows = list(iter_ablation(ds, ModelArch(hidden=(10,)), small_cfg(),
+                                  criteria=("dot",), normalizers=("ms",),
+                                  neuron_counts=(10,), seeds=(1,)))
         assert len(rows) == 1
         assert rows[0]["status"].startswith("error")
 
     def test_grid_size(self):
         ds = small_dataset()
-        rows = run_ablation(ds, ModelArch(hidden=(12,)), small_cfg(),
-                            criteria=("dot", "random"), normalizers=("ms",),
-                            neuron_counts=(12,), seeds=(1, 2))
+        rows = list(iter_ablation(ds, ModelArch(hidden=(12,)), small_cfg(),
+                                  criteria=("dot", "random"), normalizers=("ms",),
+                                  neuron_counts=(12,), seeds=(1, 2)))
         assert len(rows) == 4
         agg = aggregate_ablation(rows)
         assert len(agg) == 2
@@ -332,8 +332,8 @@ class TestRunAblation:
     def test_skip_cells_resume(self):
         ds = small_dataset()
         done = {("dot", "ms", 12, 1)}
-        rows = run_ablation(ds, ModelArch(hidden=(12,)), small_cfg(),
-                            criteria=("dot",), normalizers=("ms",),
-                            neuron_counts=(12,), seeds=(1, 2), skip_cells=done)
+        rows = list(iter_ablation(ds, ModelArch(hidden=(12,)), small_cfg(),
+                                  criteria=("dot",), normalizers=("ms",),
+                                  neuron_counts=(12,), seeds=(1, 2), skip_cells=done))
         assert len(rows) == 1
         assert rows[0]["seed"] == 2

@@ -56,20 +56,20 @@ class TestEvaluate:
 class TestDiscretize:
     def test_hat_unshifted(self):
         pk = PlacedKernel(pspk(KernelFamily.HAT), delay=0.0, support=2.0)
-        np.testing.assert_allclose(pk.taps(4, dt=1.0), [1.0, 0.5, 0.0, 0.0])
+        np.testing.assert_allclose(pk.taps(4), [1.0, 0.5, 0.0, 0.0])
 
     def test_hat_shifted(self):
         pk = PlacedKernel(pspk(KernelFamily.HAT), delay=2.0, support=2.0)
-        np.testing.assert_allclose(pk.taps(4, dt=1.0), [0.0, 0.5, 1.0, 0.5])
+        np.testing.assert_allclose(pk.taps(4), [0.0, 0.5, 1.0, 0.5])
 
     def test_exclusive_exp(self):
         pk = PlacedKernel(rfk(KernelFamily.EXP), delay=0.0, support=1.0)
-        np.testing.assert_allclose(pk.taps(3, dt=1.0), [0.0, math.exp(-1.0), 0.0])
+        np.testing.assert_allclose(pk.taps(3), [0.0, math.exp(-1.0), 0.0])
 
     def test_empty_grid_rejected(self):
         pk = PlacedKernel(pspk(KernelFamily.HAT))
         with pytest.raises(EmptyGridError):
-            pk.taps(0, dt=1.0)
+            pk.taps(0)
 
     def test_nonpositive_support_rejected(self):
         with pytest.raises(ValueError):
@@ -77,10 +77,10 @@ class TestDiscretize:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_grid_refinement_is_consistent(self, family):
-        # halving dt keeps the coarse samples as every other fine sample
-        pk = PlacedKernel(pspk(family), delay=0.0, support=1.0)
-        coarse = pk.taps(8, dt=0.25)
-        fine = pk.taps(16, dt=0.125)
+        # a grid twice as fine is the unit grid with delay and support
+        # doubled: it keeps the coarse samples as every other fine sample
+        coarse = PlacedKernel(pspk(family), delay=1.0, support=4.0).taps(8)
+        fine = PlacedKernel(pspk(family), delay=2.0, support=8.0).taps(16)
         np.testing.assert_array_equal(coarse, fine[::2])
 
 

@@ -24,7 +24,6 @@ from sswim.network import (
     model_from_dict,
     model_to_dict,
     output_voltages_batch,
-    psp_window_matrix,
     refractory_taps,
     save_model,
     simulate_hidden_batch,
@@ -63,11 +62,16 @@ def output_layer(weights, bias, delay, support, family=KernelFamily.HAT):
     )
 
 
+def window_matrix(pk, n_steps, window):
+    """The (steps, window) read-out kernel: the window rows of the conv matrix."""
+    return kernel_conv_matrix(pk, n_steps)[window[0]: window[1]].T
+
+
 class TestPspContributions:
     def test_single_spike_rectified_copy(self):
         layer = hidden_layer([[1.0]], 0.0, delay=0.0, support=2.0, cost=0.0, rf_support=1.0)
         spikes = SpikeTrainSet(trains=[np.array([10])], n_steps=16)
-        psp = spikes.to_dense() @ psp_window_matrix(layer.placed_kernel(0), 16, (0, 16))
+        psp = spikes.to_dense() @ window_matrix(layer.placed_kernel(0), 16, (0, 16))
         expected = np.zeros(16)
         expected[10] = 1.0
         expected[11] = 0.5
@@ -76,7 +80,7 @@ class TestPspContributions:
     def test_empty_train_is_silent(self):
         layer = hidden_layer([[1.0]], 0.0, delay=0.0, support=2.0, cost=0.0, rf_support=1.0)
         spikes = SpikeTrainSet(trains=[np.array([], dtype=int)], n_steps=8)
-        psp = spikes.to_dense() @ psp_window_matrix(layer.placed_kernel(0), 8, (0, 8))
+        psp = spikes.to_dense() @ window_matrix(layer.placed_kernel(0), 8, (0, 8))
         assert np.all(psp == 0.0)
 
     def test_constant_input_reaches_tap_sum(self):
@@ -97,7 +101,7 @@ class TestPspContributions:
         steps = 40
         train = np.sort(rng.choice(steps, size=9, replace=False))
         spikes = SpikeTrainSet(trains=[train], n_steps=steps)
-        window = psp_window_matrix(layer.placed_kernel(0), steps, (0, steps))
+        window = window_matrix(layer.placed_kernel(0), steps, (0, steps))
         sparse = (spikes.to_dense() @ window)[0]
         comb = np.zeros(steps)
         comb[train] = 1.0
@@ -169,26 +173,34 @@ def reference_causal_conv_matrix(taps, n_steps):
     return c
 
 
-def reference_kernel_conv_matrix(pk, n_steps, dt):
-    span = min(int(tap_span(pk.delay, pk.support, dt)), n_steps)
-    return reference_causal_conv_matrix(pk.taps(span, dt), n_steps)
+def reference_kernel_conv_matrix(pk, n_steps):
+    span = min(int(tap_span(pk.delay, pk.support)), n_steps)
+    return reference_causal_conv_matrix(pk.taps(span), n_steps)
 
 
-def reference_drive(layer, dense_in, dt):
+def reference_refractory_taps(layer):
+    """The refractory kernel at lag / rf_support for the lags 1..D, D the
+    longest refractory support, zeroed where that ratio is above 1."""
+    lags = np.arange(1, int(np.floor(np.max(layer.rf_support))) + 1)
+    x = lags[None, :] / layer.rf_support[:, None]
+    return np.where(x <= 1.0, layer.rfk.evaluate(x), 0.0)
+
+
+def reference_drive(layer, dense_in):
     n_steps = dense_in.shape[-1]
     projected = np.matmul(layer.weights, dense_in)
     drive = np.empty_like(projected)
     for i in range(layer.n_neurons):
-        c = reference_kernel_conv_matrix(layer.placed_kernel(i), n_steps, dt)
+        c = reference_kernel_conv_matrix(layer.placed_kernel(i), n_steps)
         drive[:, i, :] = projected[:, i, :] @ c.T
     drive += layer.bias[None, :, None]
     return drive
 
 
-def reference_simulate(layer, dense_in, dt):
-    drive = reference_drive(layer, dense_in, dt)
+def reference_simulate(layer, dense_in):
+    drive = reference_drive(layer, dense_in)
     n_samples, n_neurons, n_steps = drive.shape
-    q_taps = refractory_taps(layer, dt)
+    q_taps = reference_refractory_taps(layer)
     max_lag = q_taps.shape[1]
     cost_taps = layer.spike_cost[:, None] * q_taps
     spiked = np.zeros((n_samples, n_neurons, n_steps), dtype=bool)
@@ -204,27 +216,29 @@ def reference_simulate(layer, dense_in, dt):
     return spiked, volt
 
 
-def reference_stack(layers, dense, chunk, dt):
+def reference_stack(layers, dense, chunk):
     masks = []
     for layer in layers:
-        mask = np.concatenate([reference_simulate(layer, dense[lo: lo + chunk], dt)[0]
+        mask = np.concatenate([reference_simulate(layer, dense[lo: lo + chunk])[0]
                                for lo in range(0, dense.shape[0], chunk)])
         masks.append(mask)
         dense = mask.astype(float)
     return masks
 
 
-def random_hidden_layer(rng, n_neurons, n_inputs, family, input_scale=1.0):
-    """Mixed delays and supports, 1-4 refractory lags at dt = 1, a spread of
-    costs with neuron 0 at zero cost, and biases that make neurons fire."""
+def random_hidden_layer(rng, n_neurons, n_inputs, family, input_scale=1.0, step=1.0):
+    """Mixed delays and supports, 1-4 refractory lags, a spread of costs with
+    neuron 0 at zero cost, and biases that make neurons fire. The delays and
+    supports are drawn in units of ``step`` and given on the unit grid, so a
+    ``step`` of 0.5 places every kernel as a grid twice as fine would."""
     return LayerParams(
         weights=rng.normal(size=(n_neurons, n_inputs)) * input_scale,
         bias=rng.uniform(0.3, 1.1, n_neurons),
-        delay=rng.uniform(0.0, 9.0, n_neurons),
-        support=rng.uniform(0.6, 14.0, n_neurons),
+        delay=rng.uniform(0.0, 9.0, n_neurons) / step,
+        support=rng.uniform(0.6, 14.0, n_neurons) / step,
         pspk=pspk(family),
         spike_cost=np.concatenate([[0.0], -rng.uniform(0.2, 2.5, n_neurons - 1)]),
-        rf_support=rng.choice([1.0, 2.5, 3.0, 4.5], n_neurons),
+        rf_support=rng.choice([1.0, 2.5, 3.0, 4.5], n_neurons) / step,
         rfk=rfk(KernelFamily.EXP),
     )
 
@@ -232,52 +246,55 @@ def random_hidden_layer(rng, n_neurons, n_inputs, family, input_scale=1.0):
 class TestSimulatorMatchesReference:
     N_SAMPLES, N_NEURONS, N_STEPS = 5, 9, 37   # all distinct, to pin the axis order
 
-    def setup(self, family, dt, seed=0):
+    def setup(self, family, step, seed=0):
         rng = np.random.default_rng(seed)
-        layers = [random_hidden_layer(rng, self.N_NEURONS, 3, family),
-                  random_hidden_layer(rng, 6, self.N_NEURONS, family, input_scale=0.6)]
+        layers = [random_hidden_layer(rng, self.N_NEURONS, 3, family, step=step),
+                  random_hidden_layer(rng, 6, self.N_NEURONS, family, input_scale=0.6,
+                                      step=step)]
         dense = rng.normal(size=(self.N_SAMPLES, 3, self.N_STEPS))
         return layers, dense
 
     @pytest.mark.parametrize("family", list(KernelFamily))
-    @pytest.mark.parametrize("dt", [1.0, 0.5])
-    def test_drive_masks_and_voltages_are_bit_identical(self, family, dt):
-        layers, dense = self.setup(family, dt)
+    @pytest.mark.parametrize("step", [1.0, 0.5])
+    def test_drive_masks_and_voltages_are_bit_identical(self, family, step):
+        layers, dense = self.setup(family, step)
         layer = layers[0]
-        drive = hidden_drive_batch(layer, dense, dt)
+        drive = hidden_drive_batch(layer, dense)
         assert drive.shape == (self.N_SAMPLES, self.N_NEURONS, self.N_STEPS)
-        assert drive.tobytes() == reference_drive(layer, dense, dt).tobytes()
-        spiked, volt = simulate_hidden_batch(layer, dense, dt)
-        ref_spiked, ref_volt = reference_simulate(layer, dense, dt)
+        assert drive.tobytes() == reference_drive(layer, dense).tobytes()
+        spiked, volt = simulate_hidden_batch(layer, dense)
+        ref_spiked, ref_volt = reference_simulate(layer, dense)
         assert spiked.shape == volt.shape == (self.N_SAMPLES, self.N_NEURONS, self.N_STEPS)
         assert spiked.tobytes() == ref_spiked.tobytes()
         assert volt.tobytes() == ref_volt.tobytes()
+        taps = refractory_taps(layer)
+        assert taps.tobytes() == reference_refractory_taps(layer).tobytes()
         # the case mix is live: spikes, silences and refractory lags all occur
         assert 0 < spiked.mean() < 1
-        assert 1 <= refractory_taps(layer, dt).shape[1]
+        assert 1 <= taps.shape[1]
 
     @pytest.mark.parametrize("family", list(KernelFamily))
     @pytest.mark.parametrize("chunk", [2, 5])
     def test_stack_masks_are_bit_identical(self, family, chunk):
         layers, dense = self.setup(family, 1.0, seed=1)
         masks = simulate_hidden_stack(layers, dense, chunk)
-        expected = reference_stack(layers, dense, chunk, 1.0)
+        expected = reference_stack(layers, dense, chunk)
         assert [m.shape for m in masks] == [m.shape for m in expected]
         for mask, ref in zip(masks, expected):
             assert mask.tobytes() == ref.tobytes()
         assert masks[-1].any()
 
     @pytest.mark.parametrize("family", list(KernelFamily))
-    @pytest.mark.parametrize("dt", [1.0, 0.5])
-    def test_conv_stack_equals_per_neuron_matrices(self, family, dt):
-        layer = self.setup(family, dt)[0][0]
-        stack = kernel_conv_stack(layer.pspk, layer.delay, layer.support, self.N_STEPS, dt)
+    @pytest.mark.parametrize("step", [1.0, 0.5])
+    def test_conv_stack_equals_per_neuron_matrices(self, family, step):
+        layer = self.setup(family, step)[0][0]
+        stack = kernel_conv_stack(layer.pspk, layer.delay, layer.support, self.N_STEPS)
         assert stack.shape == (self.N_NEURONS, self.N_STEPS, self.N_STEPS)
         for i in range(self.N_NEURONS):
             pk = layer.placed_kernel(i)
-            assert stack[i].tobytes() == kernel_conv_matrix(pk, self.N_STEPS, dt).tobytes()
+            assert stack[i].tobytes() == kernel_conv_matrix(pk, self.N_STEPS).tobytes()
             assert stack[i].tobytes() == reference_kernel_conv_matrix(
-                pk, self.N_STEPS, dt).tobytes()
+                pk, self.N_STEPS).tobytes()
 
     def test_one_dimensional_builder_keeps_its_result(self):
         rng = np.random.default_rng(4)
@@ -299,22 +316,22 @@ def simulator_cases(draw):
     n_steps = draw(st.integers(2, 40))
     rng = np.random.default_rng(seed)
     layer = random_hidden_layer(rng, draw(st.integers(1, 6)), draw(st.integers(1, 3)),
-                                draw(st.sampled_from(list(KernelFamily))))
+                                draw(st.sampled_from(list(KernelFamily))),
+                                step=draw(st.sampled_from([1.0, 0.5])))
     dense = rng.normal(size=(n_samples, layer.n_inputs, n_steps))
-    dt = draw(st.sampled_from([1.0, 0.5]))
-    return layer, dense, dt
+    return layer, dense
 
 
 class TestSimulatorProperties:
     @settings(max_examples=30, deadline=None)
     @given(case=simulator_cases(), frac=st.floats(0.0, 1.0))
     def test_zeroing_the_future_leaves_the_past_bit_identical(self, case, frac):
-        layer, dense, dt = case
+        layer, dense = case
         t0 = int(frac * (dense.shape[-1] - 1))
         truncated = dense.copy()
         truncated[:, :, t0 + 1:] = 0.0
-        spiked, volt = simulate_hidden_batch(layer, dense, dt)
-        spiked_t, volt_t = simulate_hidden_batch(layer, truncated, dt)
+        spiked, volt = simulate_hidden_batch(layer, dense)
+        spiked_t, volt_t = simulate_hidden_batch(layer, truncated)
         assert spiked[..., : t0 + 1].tobytes() == spiked_t[..., : t0 + 1].tobytes()
         assert volt[..., : t0 + 1].tobytes() == volt_t[..., : t0 + 1].tobytes()
 
@@ -325,10 +342,10 @@ class TestSimulatorProperties:
         # in a batch can differ from its drive alone in the last bit, at the
         # parent's per-neuron loop as well; the voltages agree to that
         # rounding and the masks exactly
-        layer, dense, dt = case
-        spiked, volt = simulate_hidden_batch(layer, dense, dt)
+        layer, dense = case
+        spiked, volt = simulate_hidden_batch(layer, dense)
         for m in range(dense.shape[0]):
-            spiked_1, volt_1 = simulate_hidden_batch(layer, dense[m: m + 1], dt)
+            spiked_1, volt_1 = simulate_hidden_batch(layer, dense[m: m + 1])
             np.testing.assert_array_equal(spiked_1[0], spiked[m])
             np.testing.assert_allclose(volt_1[0], volt[m], rtol=0, atol=1e-12)
 
@@ -372,20 +389,21 @@ class TestOutputVoltages:
         np.testing.assert_allclose(v12, v1 + v2 - bias[:, None], atol=1e-12)
 
     @pytest.mark.parametrize("family", list(KernelFamily))
-    @pytest.mark.parametrize("dt", [1.0, 0.5])
-    def test_read_out_is_the_fit_design_times_the_weights(self, family, dt):
+    @pytest.mark.parametrize("step", [1.0, 0.5])
+    def test_read_out_is_the_fit_design_times_the_weights(self, family, step):
+        # delays and supports drawn in units of ``step``, as in random_hidden_layer
         rng = np.random.default_rng(21)
         mask = rng.random((5, 7, 30)) < 0.2
         layer = output_layer(rng.normal(size=(3, 7)), rng.normal(size=3),
-                             delay=rng.uniform(0.0, 4.0, 3), support=rng.uniform(2.0, 12.0, 3),
-                             family=family)
+                             delay=rng.uniform(0.0, 4.0, 3) / step,
+                             support=rng.uniform(2.0, 12.0, 3) / step, family=family)
         window = (20, 30)
-        out = output_voltages_batch(layer, mask, window, dt)
+        out = output_voltages_batch(layer, mask, window)
         for i in range(3):
-            design = assemble_design(mask.astype(float), layer.placed_kernel(i), window, dt)
+            design = assemble_design(mask.astype(float), layer.placed_kernel(i), window)
             expected = design @ np.concatenate([[layer.bias[i]], layer.weights[i]])
             np.testing.assert_allclose(out[:, i].ravel(), expected, rtol=0, atol=1e-12)
-        as_float = output_voltages_batch(layer, mask.astype(float), window, dt)
+        as_float = output_voltages_batch(layer, mask.astype(float), window)
         assert out.tobytes() == as_float.tobytes()
 
 
@@ -395,7 +413,7 @@ def tiny_model(rng=None, n_hidden=4):
                        support=3.0, cost=-1.5, rf_support=3.0)
     out = output_layer(rng.normal(size=(2, n_hidden)) * 0.5, 0.1, delay=1.0, support=4.0)
     return SnnModel(layers=[hid, out], d_in=2, d_out=2,
-                    grid=GridSpec(dt=1.0, total_steps=24, horizon=8))
+                    grid=GridSpec(total_steps=24, horizon=8))
 
 
 class TestForward:
@@ -404,7 +422,7 @@ class TestForward:
                            cost=0.0, rf_support=2.0)
         out = output_layer(np.zeros((2, 3)), 0.25, delay=0.0, support=2.0)
         model = SnnModel(layers=[hid, out], d_in=2, d_out=2,
-                         grid=GridSpec(dt=1.0, total_steps=20, horizon=5))
+                         grid=GridSpec(total_steps=20, horizon=5))
         pred = predict_batch(model, np.zeros((1, 2, 15)))
         np.testing.assert_allclose(pred, 0.25)
         hidden = simulate_hidden_stack(model.layers[:-1], np.zeros((1, 2, 20)), 1)
@@ -429,7 +447,7 @@ class TestForward:
         rng = np.random.default_rng(11)
         out = output_layer(rng.normal(size=(2, 2)), 0.3, delay=1.0, support=4.0)
         model = SnnModel(layers=[out], d_in=2, d_out=2,
-                         grid=GridSpec(dt=1.0, total_steps=24, horizon=8))
+                         grid=GridSpec(total_steps=24, horizon=8))
         inputs = rng.normal(size=(5, 2, 16))
         preds = predict_batch(model, inputs, batch_size=batch_size)
         for x, pred in zip(inputs, preds):
@@ -442,39 +460,27 @@ class TestForward:
         assert pred.shape == (1, 2, 8)
         assert np.all(np.isfinite(pred))
 
-    def test_predict_batch_honours_grid_dt(self):
-        model = tiny_model()
-        model.grid = GridSpec(dt=0.5, total_steps=24, horizon=8)
-        x = np.random.default_rng(6).normal(size=(3, 2, 16))
-        dense = np.zeros((3, 2, 24))
-        dense[:, :, :16] = x
-        masks = simulate_hidden_stack(model.layers[:-1], dense, 3, 0.5)
-        expected = output_voltages_batch(model.layers[-1], masks[-1].astype(float),
-                                         model.grid.window, 0.5)
-        assert predict_batch(model, x, batch_size=3).tobytes() == expected.tobytes()
-
 
 def split_case(seed=7):
-    """A two-layer model on a dt = 0.5 grid with a horizon of 5 (not a
-    multiple of 4), and 11 input windows, so the ranges come out uneven."""
+    """A two-layer model with a horizon of 5 (not a multiple of 4), and 11
+    input windows, so the ranges come out uneven."""
     rng = np.random.default_rng(seed)
     hidden = [random_hidden_layer(rng, 9, 3, KernelFamily.HAT),
               random_hidden_layer(rng, 6, 9, KernelFamily.HAT, input_scale=0.6)]
     out = output_layer(rng.normal(size=(3, 6)), rng.normal(size=3),
                        delay=rng.uniform(0.0, 3.0, 3), support=rng.uniform(2.0, 9.0, 3))
     model = SnnModel(layers=hidden + [out], d_in=3, d_out=3,
-                     grid=GridSpec(dt=0.5, total_steps=31, horizon=5))
+                     grid=GridSpec(total_steps=31, horizon=5))
     return model, rng.normal(size=(11, 3, 26))
 
 
 def split_outputs(model, inputs):
-    dt = model.grid.dt
     dense = np.zeros(inputs.shape[:2] + (model.grid.total_steps,))
     dense[:, :, :inputs.shape[2]] = inputs
-    spiked, volt = simulate_hidden_batch(model.layers[0], dense, dt)
-    masks = simulate_hidden_stack(model.layers[:-1], dense, 4, dt)
+    spiked, volt = simulate_hidden_batch(model.layers[0], dense)
+    masks = simulate_hidden_stack(model.layers[:-1], dense, 4)
     readout = output_voltages_batch(model.layers[-1], masks[-1].astype(float),
-                                    model.grid.window, dt)
+                                    model.grid.window)
     return [spiked.tobytes(), volt.tobytes(), *(m.tobytes() for m in masks),
             readout.tobytes(), predict_batch(model, inputs, batch_size=8).tobytes()]
 
@@ -551,12 +557,12 @@ class TestModelValidation:
         out = output_layer(np.zeros((2, 4)), 0.0, 0.0, 2.0)
         with pytest.raises(ValueError):
             SnnModel(layers=[hid, out], d_in=2, d_out=2,
-                     grid=GridSpec(1.0, 20, 5))
+                     grid=GridSpec(20, 5))
 
     def test_output_layer_must_be_last(self):
         hid = hidden_layer(np.zeros((3, 2)), 1.0, 0.0, 2.0, 0.0, 2.0)
         with pytest.raises(ValueError):
-            SnnModel(layers=[hid], d_in=2, d_out=3, grid=GridSpec(1.0, 20, 5))
+            SnnModel(layers=[hid], d_in=2, d_out=3, grid=GridSpec(20, 5))
 
 
 class TestSerialization:
@@ -624,6 +630,7 @@ class TestSerialization:
         ("grid", []), ("layers", {}), ("layers.0", []), ("d_in", "2"), ("grid.dt", None),
         ("layers.0.weights", {}), ("layers.1.bias", [[1.0], 2.0]), ("layers.0.rfk", "exp"),
         ("layers.0.bias", [None, 0.5]), ("layers.1.delay", ["1.0"]), ("layers.0.support", [True]),
+        ("grid.dt", 0.5),   # models live on the unit-step grid
     ])
     def test_wrong_typed_field_is_named(self, tmp_path, field, value):
         path = tmp_path / "model.json"
@@ -649,7 +656,7 @@ class TestSerialization:
 class TestWindowMatrix:
     def test_window_matrix_matches_direct_placement(self):
         pk = PlacedKernel(pspk(KernelFamily.MORLET), 2.5, 4.0)
-        k = psp_window_matrix(pk, 20, (12, 20))
+        k = window_matrix(pk, 20, (12, 20))
         spikes = np.array([3, 9, 15])
         comb = np.zeros(20)
         comb[spikes] = 1.0

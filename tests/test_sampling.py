@@ -320,14 +320,14 @@ class TestSelectMetrics:
         # candidate A collapses every pair to the same ratio (max entropy);
         # candidate B concentrates almost all mass on one pair
         class FlatMetric(Pseudometric):
-            def pairwise(self, dense, dt=1.0):
+            def pairwise(self, dense):
                 n = dense.shape[0]
                 out = np.ones((n, n))
                 np.fill_diagonal(out, 0.0)
                 return out
 
         class SpikyMetric(Pseudometric):
-            def pairwise(self, dense, dt=1.0):
+            def pairwise(self, dense):
                 n = dense.shape[0]
                 out = np.full((n, n), 1e-4)
                 out[1, 0] = out[0, 1] = 50.0
@@ -355,9 +355,9 @@ class TestSelectMetrics:
         lifted = []
         real = Pseudometric.centered_channel_norms
 
-        def counted(self, dense, dt=1.0):
+        def counted(self, dense):
             lifted.append(self.lift)
-            return real(self, dense, dt)
+            return real(self, dense)
 
         monkeypatch.setattr(Pseudometric, "centered_channel_norms", counted)
         rng = np.random.default_rng(18)
