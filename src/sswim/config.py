@@ -62,10 +62,12 @@ class SswimConfig:
             raise ConfigError(f"unknown metric mode: {self.metric_mode!r}")
         if self.delay_aggregation not in ("median", "min"):
             raise ConfigError(f"unknown delay aggregation: {self.delay_aggregation!r}")
-        for name in ("subbatch", "sigma_cycle", "support_count", "lambda_count",
-                     "batch_size", "max_retries"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, not {getattr(self, name)!r}")
+        for f in fields(self):   # annotations are strings: "int", "float | None", ...
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_int(value):
+                raise ConfigError(f"{f.name} must be an integer, not {value!r}")
+            if f.type.startswith("float") and value is not None and not _is_finite(value):
+                raise ConfigError(f"{f.name} must be a finite number, not {value!r}")
         if self.subbatch < 2:
             raise ConfigError("subbatch must be at least 2")
         # the rules normalize_ms, normalize_fl and temporal_assignment apply
@@ -85,12 +87,12 @@ class SswimConfig:
         if self.max_retries < 0:
             raise ConfigError("max_retries must be non-negative")
         for name in ("epsilon", "sc_epsilon"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be positive and finite")
-        if not 0.0 <= self.min_norm < math.inf:
-            raise ConfigError("min_norm must be non-negative and finite")
-        if self.lift_support is not None and not 0.0 < self.lift_support < math.inf:
-            raise ConfigError("lift_support must be positive and finite when set")
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(f"{name} must be positive")
+        if self.min_norm < 0.0:
+            raise ConfigError("min_norm must be non-negative")
+        if self.lift_support is not None and self.lift_support <= 0.0:
+            raise ConfigError("lift_support must be positive when set")
         self.metric_candidates = tuple(self.metric_candidates)
         if not self.metric_candidates:
             raise ConfigError("metric_candidates must not be empty")
@@ -230,6 +232,10 @@ class RunConfig:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _check_keys(section: dict, allowed, where: str) -> None:

@@ -31,17 +31,19 @@ window rows of its conv stack, is then applied to its own trace. That is
 the design row of the output fit (``output.assemble_design``) times the
 weights, up to rounding.
 
-The hidden layers run on every available CPU. ``_split_run`` cuts an axis
-into one contiguous range per CPU, when the work is large enough to pay
-for the threads, and runs plain numpy on each range on a thread of its own
-(numpy and BLAS release the GIL). The input projection and the step loop
-are split by sample, the conv stack by neuron. Every split keeps each BLAS
-call the serial code would make, one gemm per sample or per neuron, and
-the elementwise work gives the same bits on any slice, so predictions do
-not depend on the CPU count. The caller allocates every array a worker
-writes, scratch included: a worker that allocated would get its own
-malloc arena and hold its memory. Workers call no other function of this
-module. Their threads end with the call, so a forked child inherits none.
+The hidden layers and the output fit (``output.select_supports`` and
+``output.accumulate_normal_equations``) run on every available CPU.
+``_split_run`` cuts an axis into one contiguous range per CPU, when the
+work is large enough to pay for the threads, and runs plain numpy on each
+range on a thread of its own (numpy and BLAS release the GIL). The input
+projection and the step loop are split by sample, the conv stack by
+neuron. Every split keeps each BLAS call the serial code would make, one
+gemm per sample or per neuron, and the elementwise work gives the same
+bits on any slice, so predictions do not depend on the CPU count. The
+caller allocates every large array a worker writes, scratch included: a
+worker that allocated would get its own malloc arena and hold its memory.
+The forward pass's workers call no other function of this module. Their
+threads end with the call, so a forked child inherits none.
 """
 
 from __future__ import annotations
@@ -379,11 +381,12 @@ def _kernel_from_dict(d: dict) -> KernelSpec:
 
 def _field(d: dict, key: str, kind=None, what: str = ""):
     """``d[key]``; ValueError names the field when it is missing or, with a
-    ``kind``, when it is not a ``kind`` (``what`` says which)."""
+    ``kind``, when it is not a ``kind`` (``what`` says which). A JSON
+    boolean is no number here, although ``bool`` is a subclass of ``int``."""
     if key not in d:
         raise ValueError(f"model has no {key!r} field")
     value = d[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise ValueError(f"model field {key!r} must be {what}, not {type(value).__name__}")
     return value
 

@@ -10,6 +10,14 @@ matrix per candidate. The final weights and biases solve ridge-regularized
 normal equations accumulated in batches, with the regularization strength
 selected on a validation split via a single symmetric eigendecomposition
 per neuron.
+
+The support search and the normal equations run on every available CPU
+through ``network._split_run``: each thread scores one contiguous range of
+support candidates, or accumulates one range of (delay, support) groups,
+into a design buffer the caller allocated for it. Each candidate's and
+each group's BLAS calls, and the order in which a group sums its batches,
+are those of the serial loop, so residuals, Gram matrices and model files
+are bit for bit the same on any CPU count.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import numpy as np
 
 from .errors import EigensolverError, LambdaSearchError, SilentNetworkError
 from .kernels import KernelSpec, PlacedKernel, kernel_peak_offset
-from .network import kernel_conv_matrix
+from .network import _split_ranges, _split_run, kernel_conv_matrix
 from .signals import spike_mask
 
 
@@ -118,16 +126,24 @@ def support_candidates(lo: float, hi: float, alpha: float, count: int) -> Suppor
 
 
 def assemble_design(dense_combs: np.ndarray, pk: PlacedKernel,
-                    window: tuple[int, int]) -> np.ndarray:
+                    window: tuple[int, int], out: np.ndarray | None = None) -> np.ndarray:
     """Stacked design matrix: a ones column plus one kernel-response column
     per hidden neuron, rows running over samples x window steps.
 
     The kernel is the window rows of ``kernel_conv_matrix``. Each sample's
     (W, G) @ (G, N_L) product is written straight into its rows of the
-    design."""
+    design. With ``out``, a C-contiguous float buffer of at least that many
+    elements, the design is written into its leading elements and returned
+    as a view of them, so a caller that scores many designs allocates one."""
     n_samples, n_hidden, n_steps = dense_combs.shape
+    shape = (n_samples, window[1] - window[0], n_hidden + 1)
+    size = shape[0] * shape[1] * shape[2]
+    if out is None:
+        out = np.empty(size)
+    elif out.dtype != float or not out.flags.c_contiguous or out.size < size:
+        raise ValueError(f"out must be a C-contiguous float buffer of at least {size} elements")
     k = np.asfortranarray(kernel_conv_matrix(pk, n_steps)[window[0]: window[1]])
-    design = np.empty((n_samples, window[1] - window[0], n_hidden + 1))
+    design = out.reshape(-1)[:size].reshape(shape)
     design[..., 0] = 1.0
     np.matmul(k, dense_combs.transpose(0, 2, 1), out=design[..., 1:])
     return design.reshape(-1, n_hidden + 1)
@@ -182,13 +198,19 @@ def select_supports(spikes, targets: np.ndarray, delays: DelayEstimate,
     """
     combs = spike_mask(spikes).astype(float)
     stacked = _stack_targets(targets)
+    n_rows, n_features = stacked.shape[0], combs.shape[1] + 1
     residuals = np.empty((candidates.count, targets.shape[1]))
-    for c, sigma_c in enumerate(candidates.values):
-        design = assemble_design(
-            combs, PlacedKernel(pspk_spec, delays.aggregate, float(sigma_c)), window
-        )
-        residuals[c] = projection_residuals(design, stacked)
-    tol = max(design.shape) * np.finfo(float).eps * np.sum(stacked**2, axis=0)
+    ranges = _split_ranges(candidates.count, candidates.count * n_rows * n_features)
+    designs = {lo: np.empty(n_rows * n_features) for lo, _ in ranges}
+
+    def score(lo, hi):
+        for c in range(lo, hi):
+            pk = PlacedKernel(pspk_spec, delays.aggregate, float(candidates.values[c]))
+            design = assemble_design(combs, pk, window, out=designs[lo])
+            residuals[c] = projection_residuals(design, stacked)
+
+    _split_run(score, ranges)
+    tol = max(n_rows, n_features) * np.finfo(float).eps * np.sum(stacked**2, axis=0)
     tied = residuals <= residuals.min(axis=0) + tol
     return candidates.values[np.argmax(tied, axis=0)]
 
@@ -273,16 +295,28 @@ def accumulate_normal_equations(batches, delays: np.ndarray, supports: np.ndarra
     delays = np.asarray(delays, dtype=float)
     supports = np.asarray(supports, dtype=float)
     keys, members, group_of_neuron = _dedupe_params(delays, supports)
-    accs = None
+    accs = combs = None
     for spikes, targets in batches:
-        combs = spike_mask(spikes).astype(float)
+        mask = spike_mask(spikes)
         stacked = _stack_targets(targets)
+        n_features = mask.shape[1] + 1
         if accs is None:
-            n_features = combs.shape[1] + 1
             accs = [GramAccumulator(n_features, len(m)) for m in members]
-        for g, (key, cols) in enumerate(zip(keys, members)):
-            design = assemble_design(combs, PlacedKernel(pspk_spec, key[0], key[1]), window)
-            accs[g].add_block(design, stacked[:, cols], combs.shape[0])
+        if combs is None or combs.shape[0] < mask.shape[0]:
+            # sized by the largest batch so far; smaller ones use its leading samples
+            combs = np.empty(mask.shape)
+            ranges = _split_ranges(len(members), len(members) * stacked.shape[0] * n_features)
+            designs = {lo: np.empty(stacked.shape[0] * n_features) for lo, _ in ranges}
+        batch = combs[: mask.shape[0]]
+        np.copyto(batch, mask)
+
+        def add(lo, hi):
+            for g in range(lo, hi):
+                pk = PlacedKernel(pspk_spec, keys[g][0], keys[g][1])
+                design = assemble_design(batch, pk, window, out=designs[lo])
+                accs[g].add_block(design, stacked[:, members[g]], batch.shape[0])
+
+        _split_run(add, ranges)
     if accs is None:
         raise ValueError("no batches were streamed")
     return NormalEquations(

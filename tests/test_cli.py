@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from sswim.cli import main
+from sswim.config import SswimConfig
 
 CONFIG = """\
 dataset:
@@ -98,6 +100,25 @@ BAD_VALUES = [
     ("run", "threads: true", "threads"),
 ]
 
+# one non-finite value per float field of SswimConfig
+NON_FINITE = [
+    "sigma_min: .nan",
+    "sigma_max: .inf",
+    "mu_target: -.inf",
+    "std_target: .inf",
+    "z_target: .inf",
+    "epsilon: .inf",
+    "min_norm: .inf",
+    "sc_epsilon: .nan",
+    "min_entropy: .nan",
+    "lift_support: .nan",
+    "support_min: .nan",
+    "support_max: .inf",
+    "support_alpha: .inf",
+    "lambda_min: .nan",
+    "lambda_max: .inf",
+]
+
 ABLATION = "ablation:\n  criteria: [dot]\n  normalizers: [ms]\n  neuron_counts: [12]\n"
 
 # (ablation line, a fragment the config error must contain)
@@ -153,6 +174,19 @@ class TestTrainCommand:
         assert main(["train", "--config", str(path)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("line", NON_FINITE)
+    def test_non_finite_value_exits_two_before_any_output(self, tmp_path, capsys, line):
+        path, out = write_config(tmp_path)
+        path.write_text(with_value(path.read_text(), "sswim", line))
+        assert main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{line.split(':')[0]} must be a finite number" in err
+        assert not out.exists()
+
+    def test_every_float_field_has_a_non_finite_case(self):
+        floats = {f.name for f in fields(SswimConfig) if f.type.startswith("float")}
+        assert floats == {line.split(":")[0] for line in NON_FINITE}
 
     def test_phase_failure_exits_one_and_names_the_phase(self, tmp_path, monkeypatch,
                                                           capsys):

@@ -647,6 +647,22 @@ class TestSerialization:
             load_model(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("field", ["d_in", "d_out", "grid.total_steps", "grid.horizon",
+                                       "grid.dt"])
+    def test_boolean_number_field_is_named(self, tmp_path, field):
+        # bool is a subclass of int, and True == 1 == 1.0: refused all the same
+        path = tmp_path / "model.json"
+        save_model(tiny_model(), path)
+        doc = json.loads(path.read_text())
+        *parents, key = field.split(".")
+        node = doc
+        for part in parents:
+            node = node[part]
+        node[key] = True
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"model field '{key}' must be .*, not bool"):
+            load_model(path)
+
     def test_dict_round_trip(self):
         model = tiny_model()
         again = model_from_dict(model_to_dict(model))

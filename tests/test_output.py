@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sswim.errors import LambdaSearchError, SilentNetworkError
+from sswim import ModelArch, SswimConfig, make_windows, network, output, synth_dataset, train_sswim
+from sswim.errors import LambdaSearchError, PipelineError, SilentNetworkError
 from sswim.kernels import KernelFamily, PlacedKernel, pspk
 from sswim.output import (
     DelayEstimate,
@@ -23,6 +25,7 @@ from sswim.output import (
     support_candidates,
 )
 from sswim.signals import SpikeTrainSet
+from sswim.train import serialize_model_bytes
 
 HAT = pspk(KernelFamily.HAT)
 
@@ -471,3 +474,136 @@ class TestConditionBound:
         acc.count = 1
         with pytest.raises(ValueError):
             condition_bound_diagnostic(acc, 0.0, np.zeros((1, 1)), 4, 1.0)
+
+
+class TestAssembleDesignBuffer:
+    def test_buffer_holds_the_same_design(self):
+        rng = np.random.default_rng(60)
+        combs = (rng.random((5, 4, 24)) < 0.2).astype(float)
+        pk = PlacedKernel(HAT, 2.0, 5.0)
+        fresh = assemble_design(combs, pk, (16, 24))
+        buffer = np.full(fresh.size + 7, np.nan)
+        design = assemble_design(combs, pk, (16, 24), out=buffer)
+        assert np.shares_memory(design, buffer)
+        assert design.tobytes() == fresh.tobytes()
+        assert np.isnan(buffer[fresh.size:]).all()
+
+    @pytest.mark.parametrize("buffer", [np.empty(5 * 8 * 5 - 1), np.empty((5 * 8 * 5, 2))[:, 0],
+                                        np.empty(5 * 8 * 5, dtype=np.float32)])
+    def test_unfit_buffer_rejected(self, buffer):
+        combs = np.zeros((5, 4, 24))
+        with pytest.raises(ValueError, match="out must be"):
+            assemble_design(combs, PlacedKernel(HAT, 2.0, 5.0), (16, 24), out=buffer)
+
+
+def split_fit_case():
+    """Spike masks, targets and parameters for the output fit of 4 outputs
+    in 3 (delay, support) groups, on 23 samples."""
+    rng = np.random.default_rng(61)
+    mask = rng.random((23, 9, 40)) < 0.15
+    targets = rng.normal(size=(23, 4, 8))
+    delays = np.array([1.0, 3.0, 1.0, 2.5])
+    supports = np.array([4.0, 6.0, 4.0, 7.5])
+    return mask, targets, delays, supports
+
+
+def supports_and_residuals(monkeypatch, mask, targets):
+    """The choice of ``select_supports`` and the (design, residuals) bytes of
+    every candidate it scored, sorted."""
+    scored = []
+
+    def recording(design, stacked):
+        result = projection_residuals(design, stacked)
+        scored.append((design.tobytes(), result.tobytes()))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(output, "projection_residuals", recording)
+        grid = support_candidates(1.0, 16.0, 1.5, 7)
+        choice = select_supports(mask, targets, DelayEstimate(np.zeros(4), 2.0), grid, HAT,
+                                 (32, 40))
+    return choice.tobytes(), sorted(scored)
+
+
+def normal_equation_bytes(mask, targets, delays, supports):
+    def batches():
+        for lo, hi in ((0, 10), (10, 20), (20, 23)):
+            yield mask[lo:hi], targets[lo:hi]
+
+    ne = accumulate_normal_equations(batches(), delays, supports, HAT, (32, 40))
+    return [(acc.gram.tobytes(), acc.rhs.tobytes(), acc.target_sq.tobytes(), acc.count)
+            for acc in ne.groups]
+
+
+def criterion_13_bytes():
+    dataset = make_windows(synth_dataset("multisine", 2, 420, seed=7), obs_len=24, horizon=8)
+    cfg = SswimConfig(subbatch=60, sigma_min=3.0, sigma_max=12.0,
+                      sigma_cycle=5, support_count=8, lambda_count=6)
+    model, _ = train_sswim(dataset, ModelArch(hidden=(25,)), cfg, seed=11)
+    return serialize_model_bytes(model)
+
+
+class TestSplitOutputFit:
+    """The support search and the normal equations give the same bits on any
+    number of threads."""
+
+    WORKERS = [2, 3, 7]
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        monkeypatch.setattr(network, "_MIN_SLICE", 1)   # split even this small case
+
+        def use(count):
+            monkeypatch.setattr(network, "available_cpus", lambda: count)
+
+        # threads switch often, so that workers that shared a buffer would clash
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            yield use
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_support_search_is_the_same_on_any_thread_count(self, monkeypatch, cpus, workers):
+        mask, targets, _, _ = split_fit_case()
+        cpus(1)
+        serial = supports_and_residuals(monkeypatch, mask, targets)
+        assert len(serial[1]) == 7
+        cpus(workers)
+        assert supports_and_residuals(monkeypatch, mask, targets) == serial
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_normal_equations_are_the_same_on_any_thread_count(self, cpus, workers):
+        case = split_fit_case()
+        cpus(1)
+        serial = normal_equation_bytes(*case)
+        assert len(serial) == 3
+        cpus(workers)
+        assert normal_equation_bytes(*case) == serial
+
+    def test_model_bytes_are_the_same_on_any_thread_count(self, cpus):
+        cpus(1)
+        serial = criterion_13_bytes()
+        for workers in self.WORKERS:
+            cpus(workers)
+            assert criterion_13_bytes() == serial, f"{workers} threads"
+
+    @pytest.mark.parametrize("phase, target", [
+        ("supports", "projection_residuals"),
+        ("weights", "GramAccumulator.add_block"),
+    ])
+    def test_worker_error_names_the_phase(self, monkeypatch, cpus, phase, target):
+        threads = []
+
+        def fail(*args, **kwargs):
+            threads.append(threading.current_thread())
+            raise ValueError("injected")
+
+        owner, _, name = target.rpartition(".")
+        monkeypatch.setattr(getattr(output, owner) if owner else output, name, fail)
+        cpus(2)
+        with pytest.raises(PipelineError, match="injected") as info:
+            criterion_13_bytes()
+        assert info.value.phase == phase
+        assert threads and threading.main_thread() not in threads
