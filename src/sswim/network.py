@@ -31,7 +31,9 @@ window rows of its conv stack, is then applied to its own trace. That is
 the design row of the output fit (``output.assemble_design``) times the
 weights, up to rounding.
 
-The hidden layers and the output fit (``output.select_supports`` and
+The hidden layers, the hidden-layer build (``hidden.build_hidden_layer``,
+split by neuron after its random draws are made on the calling thread)
+and the output fit (``output.select_supports`` and
 ``output.accumulate_normal_equations``) run on every available CPU.
 ``_split_run`` cuts an axis into one contiguous range per CPU, when the
 work is large enough to pay for the threads, and runs plain numpy on each

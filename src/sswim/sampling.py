@@ -16,7 +16,7 @@ pair separates the dataset more decisively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -115,19 +115,18 @@ class Pseudometric:
 
     def prepare_batch(self, dense: np.ndarray) -> np.ndarray:
         """Centered, embedded flat vector per sample of a (samples, channels,
-        steps) array, lifted first when the metric has a lift."""
+        steps) array, lifted first when the metric has a lift. Each sample's
+        embedding is written into one (samples, features) array."""
         if self.lift is not None:
             dense = self.lift.apply_batch(dense)
         centered = dense - dense.mean(axis=-1, keepdims=True)
-        return np.stack([embed(self.embedding, centered[i]).ravel()
-                         for i in range(dense.shape[0])])
-
-    def centered_channel_norms(self, dense: np.ndarray) -> np.ndarray:
-        """Per-channel L2 norms after lifting and centering: (samples, channels)."""
-        if self.lift is not None:
-            dense = self.lift.apply_batch(dense)
-        centered = dense - dense.mean(axis=-1, keepdims=True)
-        return np.sqrt(np.sum(centered * centered, axis=-1))
+        vecs = None
+        for i in range(dense.shape[0]):
+            vec = embed(self.embedding, centered[i]).ravel()
+            if vecs is None:
+                vecs = np.empty((dense.shape[0], vec.size), dtype=vec.dtype)
+            vecs[i] = vec
+        return vecs
 
     def distance(self, a, b) -> float:
         """Distance between two (channels, steps) samples; a SpikeTrainSet
@@ -195,6 +194,24 @@ class PairProbabilities:
         return cdf
 
 
+def _lift_and_filter(lift: VanRossumLift | None, dense: np.ndarray,
+                     min_norm: float) -> tuple[np.ndarray, np.ndarray]:
+    """A (samples, channels, steps) batch lifted through ``lift`` (as is for
+    None), and the samples to keep: those with at least one channel whose
+    L2 norm after centering is ``min_norm`` or more."""
+    if lift is not None:
+        dense = lift.apply_batch(dense)
+    centered = dense - dense.mean(axis=-1, keepdims=True)
+    norms = np.sqrt(np.sum(centered * centered, axis=-1))
+    return dense, np.any(norms >= min_norm, axis=1)
+
+
+def _unlifted(metric: Pseudometric) -> Pseudometric:
+    """The metric without its lift, to apply to a batch lifted already; a
+    subclass keeps its own ``pairwise``."""
+    return metric if metric.lift is None else replace(metric, lift=None)
+
+
 def _pair_index_arrays(n_samples: int) -> tuple[np.ndarray, np.ndarray]:
     n_idx, m_idx = np.tril_indices(n_samples, k=-1)
     return n_idx.astype(np.int64), m_idx.astype(np.int64)
@@ -229,10 +246,9 @@ def pair_probabilities(inputs_dense: np.ndarray, targets_dense: np.ndarray,
         raise ValueError("inputs and targets must have the same sample count")
     if inputs_dense.shape[0] < 2:
         raise ValueError("need at least two samples to form pairs")
-    dist_in = d_in.pairwise(inputs_dense)
+    lifted, valid = _lift_and_filter(d_in.lift, inputs_dense, min_norm)
+    dist_in = _unlifted(d_in).pairwise(lifted)
     dist_out = d_out.pairwise(targets_dense)
-    norms = d_in.centered_channel_norms(inputs_dense)
-    valid = np.any(norms >= min_norm, axis=1)
     return pair_probabilities_from_matrices(dist_in, dist_out, eps, valid)
 
 
@@ -255,24 +271,27 @@ def shannon_entropy(probs) -> float:
 def select_metrics(inputs_dense: np.ndarray, targets_dense: np.ndarray,
                    candidates_in, candidates_out,
                    eps: float = 1e-6, min_norm: float = 1e-6,
-                   min_entropy: float | None = None) -> tuple[Pseudometric, Pseudometric]:
-    """Pick the candidate pair whose sampling distribution has least entropy.
+                   min_entropy: float | None = None
+                   ) -> tuple[Pseudometric, Pseudometric, PairProbabilities]:
+    """Pick the candidate pair whose sampling distribution has least entropy;
+    returns it with that distribution.
 
-    Distance matrices are computed once per candidate and reused across
-    combinations; the valid-sample filter depends only on a candidate's
-    lift, so it is computed once per distinct lift. Ties keep the earliest
-    pair in candidate-list order;
+    The inputs are lifted and filtered once per distinct lift among the
+    input candidates, and each candidate's ``pairwise`` gets the lifted
+    batch, so each distance matrix is computed once and reused across
+    combinations. Ties keep the earliest pair in candidate-list order;
     combinations whose distribution is degenerate (or whose entropy falls
     below ``min_entropy``, when given) are skipped.
     """
     if not candidates_in or not candidates_out:
         raise ValueError("candidate sets must be nonempty")
-    mats_in, valid_by_lift = [], {}
+    lifted, valid = {}, {}
     for cand in candidates_in:
-        mats_in.append(cand.pairwise(inputs_dense))
-        if cand.lift not in valid_by_lift:
-            norms = cand.centered_channel_norms(inputs_dense)
-            valid_by_lift[cand.lift] = np.any(norms >= min_norm, axis=1)
+        if cand.lift not in lifted:
+            lifted[cand.lift], valid[cand.lift] = _lift_and_filter(
+                cand.lift, inputs_dense, min_norm
+            )
+    mats_in = [_unlifted(cand).pairwise(lifted[cand.lift]) for cand in candidates_in]
     mats_out = [cand.pairwise(targets_dense) for cand in candidates_out]
     best = None
     best_entropy = np.inf
@@ -280,7 +299,7 @@ def select_metrics(inputs_dense: np.ndarray, targets_dense: np.ndarray,
         for j, cand_out in enumerate(candidates_out):
             try:
                 pairs = pair_probabilities_from_matrices(
-                    mats_in[i], mats_out[j], eps, valid_by_lift[cand_in.lift]
+                    mats_in[i], mats_out[j], eps, valid[cand_in.lift]
                 )
             except DegenerateDistributionError:
                 continue
@@ -289,7 +308,7 @@ def select_metrics(inputs_dense: np.ndarray, targets_dense: np.ndarray,
                 continue
             if h < best_entropy:
                 best_entropy = h
-                best = (cand_in, cand_out)
+                best = (cand_in, cand_out, pairs)
     if best is None:
         raise DegenerateDistributionError(
             "no candidate combination yields a usable sampling distribution"

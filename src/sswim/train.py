@@ -41,7 +41,13 @@ from .output import (
     select_supports,
     solve_with_lambda_search,
 )
-from .sampling import EmbeddingSpec, Pseudometric, VanRossumLift, select_metrics
+from .sampling import (
+    EmbeddingSpec,
+    Pseudometric,
+    VanRossumLift,
+    pair_probabilities,
+    select_metrics,
+)
 
 
 @dataclass
@@ -198,30 +204,32 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
                 )
             if cfg.weight_criterion == "random":
                 # weights ignore the pair distribution; no metric is consulted
-                d_in_metric = d_out_metric = Pseudometric(EmbeddingSpec("l2"))
-            elif cfg.metric_mode == "entropy":
-                cands_in, cands_out = _candidate_metrics(cfg, lift)
-                d_in_metric, d_out_metric = select_metrics(
-                    latents, targets_xi, cands_in, cands_out,
-                    eps=cfg.epsilon, min_norm=cfg.min_norm, min_entropy=cfg.min_entropy,
-                )
+                pairs, names = None, ("none", "none")
             else:
-                d_in_metric = Pseudometric(EmbeddingSpec.parse(cfg.metric_in), lift)
-                d_out_metric = Pseudometric(EmbeddingSpec.parse(cfg.metric_out))
-            if layer_index == 1:
-                if cfg.weight_criterion == "random":
-                    report.metric_in = report.metric_out = "none"
+                if cfg.metric_mode == "entropy":
+                    cands_in, cands_out = _candidate_metrics(cfg, lift)
+                    d_in_metric, d_out_metric, pairs = select_metrics(
+                        latents, targets_xi, cands_in, cands_out,
+                        eps=cfg.epsilon, min_norm=cfg.min_norm, min_entropy=cfg.min_entropy,
+                    )
                 else:
-                    report.metric_in = d_in_metric.name
-                    report.metric_out = d_out_metric.name
+                    d_in_metric = Pseudometric(EmbeddingSpec.parse(cfg.metric_in), lift)
+                    d_out_metric = Pseudometric(EmbeddingSpec.parse(cfg.metric_out))
+                    pairs = pair_probabilities(
+                        latents, targets_xi, d_in_metric, d_out_metric,
+                        eps=cfg.epsilon, min_norm=cfg.min_norm,
+                    )
+                names = (d_in_metric.name, d_out_metric.name)
+            if layer_index == 1:
+                report.metric_in, report.metric_out = names
             layer, _ = build_hidden_layer(
                 layer_index, n_layers, n_neurons, hidden_pspk, hidden_rfk,
-                latents, targets_xi, obs_len, horizon,
-                d_in_metric, d_out_metric, cfg, rng_layers,
+                latents, obs_len, horizon, pairs, cfg, rng_layers,
                 chunk=cfg.batch_size,
             )
             hidden_layers.append(layer)
             masks_xi = simulate_hidden_stack([layer], latents, cfg.batch_size)[0]
+        del latents   # the last layer's float input: dead from here on
         report.spike_counts = masks_xi.sum(axis=(0, 2)).astype(np.int64)
 
     with _phase("delays", timings):

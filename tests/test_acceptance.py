@@ -43,6 +43,7 @@ from sswim.sampling import (
     PairProbabilities,
     Pseudometric,
     VanRossumLift,
+    pair_probabilities,
     shannon_entropy,
 )
 from sswim.signals import SpikeTrainSet
@@ -200,11 +201,11 @@ def test_criterion_04_silence_correction():
         latents[:, :, 36:] = 0.0
         targets = rng.normal(size=(30, 2, 12))
         cfg = SswimConfig(subbatch=30, sigma_min=3.0, sigma_max=10.0, sigma_cycle=4)
+        l2 = Pseudometric(EmbeddingSpec("l2"))
         layer, _ = build_hidden_layer(
             1, 1, 16, pspk(KernelFamily.HAT), rfk(KernelFamily.EXP),
-            latents, targets, obs_len=36, horizon=12,
-            d_in=Pseudometric(EmbeddingSpec("l2")),
-            d_out=Pseudometric(EmbeddingSpec("l2")),
+            latents, obs_len=36, horizon=12,
+            pairs=pair_probabilities(latents, targets, l2, l2),
             cfg=cfg, rng=np.random.default_rng(1),
         )
         drive = hidden_drive_batch(layer, latents)  # no refractory term

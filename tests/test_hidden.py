@@ -1,8 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from sswim.config import SswimConfig
-from sswim.errors import DegenerateNeuronError, TrivialPairError
+from sswim import hidden, network
+from sswim.config import ModelArch, SswimConfig
+from sswim.datasets import make_windows, synth_dataset
+from sswim.errors import DegenerateNeuronError, PipelineError, TrivialPairError
 from sswim.hidden import (
     VoltageStatsAccumulator,
     build_hidden_layer,
@@ -17,7 +22,15 @@ from sswim.hidden import (
 )
 from sswim.kernels import KernelFamily, pspk, rfk
 from sswim.network import simulate_hidden_batch
-from sswim.sampling import EmbeddingSpec, Pseudometric
+from sswim.sampling import (
+    EmbeddingSpec,
+    PairProbabilities,
+    Pseudometric,
+    pair_probabilities,
+    pair_probabilities_from_matrices,
+    sample_pair,
+)
+from sswim.train import train_sswim
 
 
 class TestTemporalAssignment:
@@ -213,6 +226,18 @@ class TestVoltageStats:
         bat.add_trace(traces)
         assert seq.result() == bat.result()
 
+    def test_scratch_gives_the_same_statistics(self):
+        rng = np.random.default_rng(28)
+        traces = rng.normal(size=(20, 32)) + 3.0
+        kept = traces.copy()
+        plain = VoltageStatsAccumulator()
+        plain.add_trace(traces)
+        scratch = np.empty_like(traces)
+        buffered = VoltageStatsAccumulator()
+        buffered.add_trace(traces, scratch=scratch)
+        assert buffered.result() == plain.result()
+        assert traces.tobytes() == kept.tobytes()
+
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
             VoltageStatsAccumulator().result()
@@ -330,11 +355,11 @@ class TestBuildHiddenLayer:
         latents = small_latents(rng)
         targets = rng.normal(size=(40, 2, 12))
         cfg = desk_cfg(weight_criterion=criterion, normalizer=normalizer)
+        l2 = Pseudometric(EmbeddingSpec("l2"))
         layer, info = build_hidden_layer(
             1, 1, n_neurons, pspk(KernelFamily.HAT), rfk(KernelFamily.EXP),
-            latents, targets, obs_len=36, horizon=12,
-            d_in=Pseudometric(EmbeddingSpec("l2")),
-            d_out=Pseudometric(EmbeddingSpec("l2")),
+            latents, obs_len=36, horizon=12,
+            pairs=None if criterion == "random" else pair_probabilities(latents, targets, l2, l2),
             cfg=cfg, rng=np.random.default_rng(seed + 1),
         )
         return layer, info, latents
@@ -378,3 +403,129 @@ class TestBuildHiddenLayer:
         layer, _, _ = self.build(normalizer="ms")
         # q(0) = 1 for the decaying exponential, so cost = -3 * std target
         np.testing.assert_allclose(layer.spike_cost, -1.5)
+
+
+@pytest.mark.parametrize("criterion, work_shape", [
+    (weight_dist, (5, 9)),
+    (weight_dot, (5, 5)),
+])
+def test_criterion_buffers_give_the_same_direction(criterion, work_shape):
+    rng = np.random.default_rng(31)
+    psi1, psi2 = rng.normal(size=(2, 5, 9))
+    out, work = np.empty((5, 5)), np.empty(work_shape)
+    assert criterion(psi1, psi2, out, work).tobytes() == criterion(psi1, psi2).tobytes()
+
+
+def duplicate_pair_distribution(n_samples: int, weight: float) -> PairProbabilities:
+    """Every pair equally likely, except (1, 0), ``weight`` times as likely."""
+    dist_out = np.ones((n_samples, n_samples))
+    dist_out[1, 0] = weight
+    return pair_probabilities_from_matrices(np.ones_like(dist_out), dist_out, 0.0)
+
+
+def split_layer(criterion, duplicates=False, max_retries=8, n_neurons=24):
+    """A layer's bytes, its chosen pairs and the stream's state after it."""
+    rng = np.random.default_rng(40)
+    latents = small_latents(rng, m=30)
+    targets = rng.normal(size=(30, 2, 12))
+    if duplicates:
+        # samples 0 and 1 have equal inputs: the dist criterion of the pair
+        # (1, 0) is zero, so a neuron that draws it is retried
+        latents[1] = latents[0]
+        pairs = duplicate_pair_distribution(30, 40.0)
+    elif criterion == "random":
+        pairs = None
+    else:
+        l2 = Pseudometric(EmbeddingSpec("l2"))
+        pairs = pair_probabilities(latents, targets, l2, l2)
+    layer_rng = np.random.default_rng(49)
+    layer, info = build_hidden_layer(
+        1, 1, n_neurons, pspk(KernelFamily.HAT), rfk(KernelFamily.EXP),
+        latents, obs_len=36, horizon=12, pairs=pairs,
+        cfg=desk_cfg(weight_criterion=criterion, max_retries=max_retries),
+        rng=layer_rng,
+    )
+    params = (layer.weights, layer.bias, layer.spike_cost)
+    return [a.tobytes() for a in params], info["pairs"], layer_rng.bit_generator.state
+
+
+def serial_duplicate_draws(n_neurons=24):
+    """The pairs and final stream state of a serial loop that redraws every
+    (1, 0) pair, and the neurons whose first draw is (1, 0)."""
+    pairs = duplicate_pair_distribution(30, 40.0)
+    rng = np.random.default_rng(49)
+    chosen, first_failed = [], []
+    for i in range(n_neurons):
+        pair = sample_pair(pairs, rng)
+        if pair == (1, 0):
+            first_failed.append(i)
+        while pair == (1, 0):
+            pair = sample_pair(pairs, rng)
+        chosen.append(pair)
+    return chosen, rng.bit_generator.state, first_failed
+
+
+class TestSplitHiddenBuild:
+    """A hidden layer's neurons give the same bits on any number of threads."""
+
+    WORKERS = [2, 3, 7]
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        monkeypatch.setattr(network, "_MIN_SLICE", 1)   # split even this small case
+
+        def use(count):
+            monkeypatch.setattr(network, "available_cpus", lambda: count)
+
+        # threads switch often, so that workers that shared a buffer would clash
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            yield use
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("criterion", ["dot", "dist", "random"])
+    def test_layer_is_the_same_on_any_thread_count(self, cpus, criterion):
+        cpus(1)
+        serial = split_layer(criterion)
+        for workers in self.WORKERS:
+            cpus(workers)
+            assert split_layer(criterion) == serial, f"{workers} threads"
+
+    def test_retried_neuron_mid_range_gives_the_serial_layer(self, cpus):
+        chosen, state, first_failed = serial_duplicate_draws()
+        first = first_failed[0]
+        assert len(first_failed) > 1
+        cpus(1)
+        serial = split_layer("dist", duplicates=True)
+        assert serial[1:] == (chosen, state)
+        for workers in self.WORKERS:
+            cpus(workers)
+            # with _MIN_SLICE = 1 the work size does not limit the split
+            starts = [lo for lo, _ in network._split_ranges(24, 24)]
+            assert first not in starts, "the retried neuron must sit inside a range"
+            assert split_layer("dist", duplicates=True) == serial, f"{workers} threads"
+
+    @pytest.mark.parametrize("workers", [1] + WORKERS)
+    def test_exhausted_retries_name_the_neuron(self, cpus, workers):
+        first = serial_duplicate_draws()[2][0]
+        cpus(workers)
+        with pytest.raises(DegenerateNeuronError, match=f"neuron {first} stayed degenerate"):
+            split_layer("dist", duplicates=True, max_retries=0)
+
+    def test_worker_error_names_the_phase(self, monkeypatch, cpus):
+        threads = []
+
+        def fail(*args, **kwargs):
+            threads.append(threading.current_thread())
+            raise ValueError("injected")
+
+        monkeypatch.setattr(hidden, "weight_dot", fail)
+        cpus(2)
+        dataset = make_windows(synth_dataset("multisine", 2, 420, seed=7), obs_len=24, horizon=8)
+        cfg = SswimConfig(subbatch=60, sigma_min=3.0, sigma_max=12.0, sigma_cycle=5)
+        with pytest.raises(PipelineError, match="injected") as info:
+            train_sswim(dataset, ModelArch(hidden=(25,)), cfg, seed=11)
+        assert info.value.phase == "hidden_build"
+        assert threads and threading.main_thread() not in threads

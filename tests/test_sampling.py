@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sswim import sampling
 from sswim.errors import DegenerateDistributionError
 from sswim.kernels import KernelFamily, pspk
 from sswim.sampling import (
@@ -314,7 +315,7 @@ class TestSelectMetrics:
         d_in = Pseudometric(EmbeddingSpec("l2"))
         d_out = Pseudometric(EmbeddingSpec("cos"))
         got = select_metrics(batch, targets, [d_in], [d_out])
-        assert got == (d_in, d_out)
+        assert got[:2] == (d_in, d_out)
 
     def test_low_entropy_metric_wins(self):
         # candidate A collapses every pair to the same ratio (max entropy);
@@ -339,7 +340,7 @@ class TestSelectMetrics:
         targets = random_batch(rng, 5, steps=16)
         flat = FlatMetric(EmbeddingSpec("l2"))
         spiky = SpikyMetric(EmbeddingSpec("cos"))
-        got_in, got_out = select_metrics(batch, targets, [flat], [flat, spiky])
+        got_in, got_out, _ = select_metrics(batch, targets, [flat], [flat, spiky])
         assert got_out is spiky
 
     def test_tie_breaks_by_candidate_order(self):
@@ -348,18 +349,18 @@ class TestSelectMetrics:
         targets = random_batch(rng, 5, steps=16)
         a = Pseudometric(EmbeddingSpec("l2"))
         b = Pseudometric(EmbeddingSpec("l2"))
-        got_in, got_out = select_metrics(batch, targets, [a, b], [a, b])
+        got_in, got_out, _ = select_metrics(batch, targets, [a, b], [a, b])
         assert got_in is a and got_out is a
 
     def test_sample_filter_runs_once_per_lift(self, monkeypatch):
         lifted = []
-        real = Pseudometric.centered_channel_norms
+        real = sampling._lift_and_filter
 
-        def counted(self, dense):
-            lifted.append(self.lift)
-            return real(self, dense)
+        def counted(lift, dense, min_norm):
+            lifted.append(lift)
+            return real(lift, dense, min_norm)
 
-        monkeypatch.setattr(Pseudometric, "centered_channel_norms", counted)
+        monkeypatch.setattr(sampling, "_lift_and_filter", counted)
         rng = np.random.default_rng(18)
         batch = (rng.random((6, 3, 32)) < 0.2).astype(float)
         targets = random_batch(rng, 6, steps=16)
@@ -374,6 +375,28 @@ class TestSelectMetrics:
             pairs = pair_probabilities(batch, targets, cand, cands[-1])
             entropies.append(shannon_entropy(pairs))
         assert got[0] is cands[int(np.argmin(entropies))]
+
+    def test_returns_the_chosen_distribution(self):
+        rng = np.random.default_rng(19)
+        batch = (rng.random((7, 3, 32)) < 0.2).astype(float)
+        targets = random_batch(rng, 7, steps=16)
+        lift = VanRossumLift(pspk(KernelFamily.HAT), 3.0)
+        cands_in = [Pseudometric(spec, lift) for spec in ALL_EMBEDDINGS]
+        cands_out = [Pseudometric(spec) for spec in ALL_EMBEDDINGS]
+        got_in, got_out, pairs = select_metrics(batch, targets, cands_in, cands_out)
+        alone = pair_probabilities(batch, targets, got_in, got_out)
+        assert pairs.probs.tobytes() == alone.probs.tobytes()
+        np.testing.assert_array_equal(pairs.pair_n, alone.pair_n)
+        np.testing.assert_array_equal(pairs.pair_m, alone.pair_m)
+
+    def test_lifted_pairwise_is_the_pairwise_of_the_lifted_batch(self):
+        rng = np.random.default_rng(20)
+        batch = (rng.random((6, 3, 32)) < 0.2).astype(float)
+        lift = VanRossumLift(pspk(KernelFamily.HAT), 3.0)
+        for spec in ALL_EMBEDDINGS:
+            lifted = Pseudometric(spec, lift).pairwise(batch)
+            bare = Pseudometric(spec).pairwise(lift.apply_batch(batch))
+            assert lifted.tobytes() == bare.tobytes()
 
     def test_empty_candidates_rejected(self):
         rng = np.random.default_rng(17)
