@@ -1,8 +1,14 @@
 """Output-layer fitting: delays, kernel supports, and ridge weights.
 
+Spikes are boolean (samples, neurons, steps) masks, and targets are
+(samples, d_out, H) arrays on the forecast window, which is the mask's last
+H steps; every function that gets both reads the window from their shapes.
+
 Delays come from a correlation analysis: the centered target is summed at
 every spike time shifted by a candidate lag, the magnitudes aggregated
-over samples and hidden neurons, and the lag of the peak taken. Kernel
+over samples and hidden neurons, and the lag of the peak taken. Every lag
+curve of a sample comes from one product: the mask's sliding windows of
+H steps, one per lag, times the centered target. Kernel
 supports come from a one-dimensional search over a power-law candidate
 grid, scored by the exact least-squares residual of a design matrix shared
 by all output neurons, solved from one eigendecomposition of its Gram
@@ -25,11 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EigensolverError, LambdaSearchError, SilentNetworkError
 from .kernels import KernelSpec, PlacedKernel, kernel_peak_offset
 from .network import _split_ranges, _split_run, kernel_conv_matrix
-from .signals import spike_mask
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +46,6 @@ from .signals import spike_mask
 class DelayEstimate:
     per_neuron: np.ndarray   # (d_out,) delay per output neuron, in steps
     aggregate: float         # shared delay used for the support search
-    aggregation: str = "median"
 
 
 def _aggregate_delays(delays: np.ndarray, how: str) -> float:
@@ -51,48 +56,43 @@ def _aggregate_delays(delays: np.ndarray, how: str) -> float:
     raise ValueError(f"unknown delay aggregation: {how!r}")
 
 
-def estimate_delays(spikes, targets: np.ndarray, pspk_spec: KernelSpec,
-                    obs_len: int, window_start: int,
+def _target_window(mask: np.ndarray, targets: np.ndarray) -> tuple[int, int]:
+    """The forecast window [T, T+H): the mask's last ``targets.shape[2]`` steps."""
+    n_steps = mask.shape[2]
+    if mask.shape[0] != targets.shape[0]:
+        raise ValueError("one spike mask per sample is required")
+    if n_steps <= targets.shape[2]:
+        raise ValueError("the spike mask needs at least one step before the target window")
+    return n_steps - targets.shape[2], n_steps
+
+
+def estimate_delays(mask: np.ndarray, targets: np.ndarray, pspk_spec: KernelSpec,
                     aggregation: str = "median") -> DelayEstimate:
     """Correlation-based delay per output neuron.
 
-    ``spikes`` is the hidden-layer output on the initialization batch: a
-    boolean (samples, neurons, steps) mask or one SpikeTrainSet per sample.
-    ``targets`` is (samples, d_out, horizon) on the window starting at
-    ``window_start``. For each candidate lag in [0, obs_len) the centered
-    target is evaluated at every spike time plus the lag (zero outside its
-    window), magnitudes are aggregated over samples and neurons, and the
-    peak lag wins. Ties fall to the smallest lag.
+    ``mask`` is the hidden-layer output on the initialization batch, a
+    boolean (samples, neurons, steps) array, and ``targets`` is
+    (samples, d_out, H) on the mask's last H steps. For each candidate lag
+    in [0, O), O = steps - H, the centered target is evaluated at every
+    spike time plus the lag (zero outside its window), magnitudes are
+    aggregated over samples and neurons, and the peak lag wins. Ties fall
+    to the smallest lag.
     """
-    mask = spike_mask(spikes)
-    n_samples, d_out, horizon = targets.shape
-    if mask.shape[0] != n_samples:
-        raise ValueError("one spike mask per sample is required")
+    n_lags = _target_window(mask, targets)[0]
     if not mask.any():
         raise SilentNetworkError("no hidden spikes; delays cannot be estimated")
-    lags = np.arange(obs_len)
-    agg = np.zeros((d_out, obs_len))
-    for sample_mask, target in zip(mask, targets):
-        centered = target - target.mean(axis=1, keepdims=True)
-        padded = np.zeros((d_out, sample_mask.shape[1] + obs_len))
-        padded[:, window_start: window_start + horizon] = centered
-        counts = sample_mask.sum(axis=1)
-        nonempty = np.flatnonzero(counts)
-        if nonempty.size == 0:
-            continue
-        # row-major order: spike steps grouped by neuron, ascending within
-        _, all_spikes = np.nonzero(sample_mask)
-        gathered = padded[:, all_spikes[:, None] + lags[None, :]]  # (d_out, F, O)
-        starts = np.concatenate([[0], np.cumsum(counts[nonempty])[:-1]])
-        per_train = np.add.reduceat(gathered, starts, axis=1)      # (d_out, J, O)
-        agg += np.abs(per_train).sum(axis=1)
+    horizon = targets.shape[2]
+    centered = targets - targets.mean(axis=2, keepdims=True)
+    agg = np.zeros((n_lags, targets.shape[1]))
+    for sample_mask, target in zip(mask, centered):
+        # windows[j, lag, h] = mask[j, O - lag + h]: the spikes that the lag
+        # carries onto target step h
+        windows = sliding_window_view(sample_mask.astype(float), horizon, axis=-1)[:, n_lags:0:-1]
+        agg += np.abs(windows @ target.T).sum(axis=0)
     delta_k = kernel_peak_offset(pspk_spec)
-    per_neuron = np.clip(np.argmax(agg, axis=1) - delta_k, 0.0, obs_len - 1)
-    return DelayEstimate(
-        per_neuron=per_neuron,
-        aggregate=_aggregate_delays(per_neuron, aggregation),
-        aggregation=aggregation,
-    )
+    per_neuron = np.clip(np.argmax(agg, axis=0) - delta_k, 0.0, n_lags - 1)
+    return DelayEstimate(per_neuron=per_neuron,
+                         aggregate=_aggregate_delays(per_neuron, aggregation))
 
 
 # ---------------------------------------------------------------------------
@@ -171,32 +171,33 @@ def projection_residuals(design: np.ndarray, stacked_targets: np.ndarray) -> np.
     return np.sum((stacked_targets - design @ coef) ** 2, axis=0)
 
 
-def residual_for_candidate(spikes, targets: np.ndarray,
-                           tau_bar: float, sigma_c: float, pspk_spec: KernelSpec,
-                           window: tuple[int, int]) -> np.ndarray:
+def residual_for_candidate(mask: np.ndarray, targets: np.ndarray,
+                           tau_bar: float, sigma_c: float,
+                           pspk_spec: KernelSpec) -> np.ndarray:
     """Optimal least-squares residual norms per output neuron for one support.
 
-    ``spikes`` is a boolean (samples, neurons, steps) mask or one
-    SpikeTrainSet per sample.
+    ``mask`` is a boolean (samples, neurons, steps) array and ``targets``
+    (samples, d_out, H) on its last H steps.
     """
-    combs = spike_mask(spikes).astype(float)
-    design = assemble_design(combs, PlacedKernel(pspk_spec, tau_bar, sigma_c), window)
+    design = assemble_design(mask.astype(float), PlacedKernel(pspk_spec, tau_bar, sigma_c),
+                             _target_window(mask, targets))
     return projection_residuals(design, _stack_targets(targets))
 
 
-def select_supports(spikes, targets: np.ndarray, delays: DelayEstimate,
-                    candidates: SupportCandidates, pspk_spec: KernelSpec,
-                    window: tuple[int, int]) -> np.ndarray:
+def select_supports(mask: np.ndarray, targets: np.ndarray, delays: DelayEstimate,
+                    candidates: SupportCandidates, pspk_spec: KernelSpec) -> np.ndarray:
     """Residual-minimizing support per output neuron over the candidate grid.
 
-    ``spikes`` is a boolean (samples, neurons, steps) mask or one
-    SpikeTrainSet per sample. Each candidate's design is scored for all
-    output neurons at once by ``projection_residuals``. Ties resolve to the
-    smallest candidate: a candidate is tied with the best when its residual
-    exceeds the best by at most max(rows, cols) * eps * ||y||^2, the
-    rounding error of a residual computed from a design of that shape.
+    ``mask`` is a boolean (samples, neurons, steps) array and ``targets``
+    (samples, d_out, H) on its last H steps. Each candidate's design is
+    scored for all output neurons at once by ``projection_residuals``. Ties
+    resolve to the smallest candidate: a candidate is tied with the best
+    when its residual exceeds the best by at most max(rows, cols) * eps *
+    ||y||^2, the rounding error of a residual computed from a design of
+    that shape.
     """
-    combs = spike_mask(spikes).astype(float)
+    window = _target_window(mask, targets)
+    combs = mask.astype(float)
     stacked = _stack_targets(targets)
     n_rows, n_features = stacked.shape[0], combs.shape[1] + 1
     residuals = np.empty((candidates.count, targets.shape[1]))
@@ -258,8 +259,6 @@ class NormalEquations:
 
     groups: list            # list of GramAccumulator
     group_of_neuron: list   # neuron index -> (group index, target column)
-    delays: np.ndarray
-    supports: np.ndarray
 
     def accumulator_for(self, neuron: int) -> tuple[GramAccumulator, int]:
         g, col = self.group_of_neuron[neuron]
@@ -282,22 +281,20 @@ def _dedupe_params(delays: np.ndarray, supports: np.ndarray):
 
 
 def accumulate_normal_equations(batches, delays: np.ndarray, supports: np.ndarray,
-                                pspk_spec: KernelSpec,
-                                window: tuple[int, int]) -> NormalEquations:
-    """Stream (spikes, targets) batches into per-neuron normal equations.
+                                pspk_spec: KernelSpec) -> NormalEquations:
+    """Stream (mask, targets) batches into per-neuron normal equations.
 
     ``batches`` yields tuples of a boolean (samples, neurons, steps) spike
-    mask (or one SpikeTrainSet per sample) and the matching
-    (samples, d_out, horizon) target array. Neurons sharing the same
-    (delay, support) share one Gram matrix; the full stacked design is
-    never materialized.
+    mask and the matching (samples, d_out, H) targets on its last H steps.
+    Neurons sharing the same (delay, support) share one Gram matrix; the
+    full stacked design is never materialized.
     """
     delays = np.asarray(delays, dtype=float)
     supports = np.asarray(supports, dtype=float)
     keys, members, group_of_neuron = _dedupe_params(delays, supports)
     accs = combs = None
-    for spikes, targets in batches:
-        mask = spike_mask(spikes)
+    for mask, targets in batches:
+        window = _target_window(mask, targets)
         stacked = _stack_targets(targets)
         n_features = mask.shape[1] + 1
         if accs is None:
@@ -319,9 +316,7 @@ def accumulate_normal_equations(batches, delays: np.ndarray, supports: np.ndarra
         _split_run(add, ranges)
     if accs is None:
         raise ValueError("no batches were streamed")
-    return NormalEquations(
-        groups=accs, group_of_neuron=group_of_neuron, delays=delays, supports=supports
-    )
+    return NormalEquations(groups=accs, group_of_neuron=group_of_neuron)
 
 
 def lambda_grid(count: int = 32, lo: float = 1e-5, hi: float = 0.5) -> np.ndarray:

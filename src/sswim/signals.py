@@ -1,12 +1,13 @@
-"""Spike trains at the API boundary.
+"""Spike-index lists, kept for the benchmark's tracer.
 
 Everything in the package lives on the unit-step time grid (one step per
-sample of a series) and works on batches: real-valued signals are
-dense (samples, channels, steps) arrays and spikes are boolean masks of
-shape (samples, neurons, steps). ``SpikeTrainSet`` (sorted step indices
-per neuron, one sample) is the only boundary type: public functions that
-accept a list of them convert it once with ``spike_mask`` and then work on
-the mask.
+sample of a series) and works on batches: real-valued signals are dense
+(samples, channels, steps) arrays and spikes are boolean masks of shape
+(samples, neurons, steps). ``SpikeTrainSet`` (sorted step indices per
+neuron, one sample) converts index lists to and from such masks, and no
+function in the package takes it. It stays only because the benchmark's
+tracer wraps ``from_dense`` and ``to_dense``, and goes with the next change
+to the benchmark.
 """
 
 from __future__ import annotations
@@ -62,11 +63,3 @@ class SpikeTrainSet:
         mask = np.asarray(mask)
         trains = [np.flatnonzero(mask[i]).astype(np.int64) for i in range(mask.shape[0])]
         return cls(trains=trains, n_steps=mask.shape[1])
-
-
-def spike_mask(spikes) -> np.ndarray:
-    """Boolean (samples, neurons, steps) mask from a mask or a list of
-    SpikeTrainSet (one per sample)."""
-    if isinstance(spikes, np.ndarray):
-        return spikes.astype(bool, copy=False)
-    return np.stack([s.to_dense() for s in spikes]).astype(bool)

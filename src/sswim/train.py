@@ -233,15 +233,11 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
         report.spike_counts = masks_xi.sum(axis=(0, 2)).astype(np.int64)
 
     with _phase("delays", timings):
-        delays = estimate_delays(
-            masks_xi, targets_xi, output_pspk, obs_len,
-            window_start=obs_len, aggregation=cfg.delay_aggregation,
-        )
+        delays = estimate_delays(masks_xi, targets_xi, output_pspk, cfg.delay_aggregation)
 
-    window = (obs_len, total_steps)
     with _phase("supports", timings):
         supports = select_supports(
-            masks_xi, targets_xi, delays, cfg.support_grid(horizon), output_pspk, window
+            masks_xi, targets_xi, delays, cfg.support_grid(horizon), output_pspk
         )
 
     with _phase("weights", timings):
@@ -249,7 +245,7 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
             hidden_layers, dataset, train_starts, cfg.batch_size, total_steps
         )
         train_ne = accumulate_normal_equations(
-            iter(train_cache), delays.per_neuron, supports, output_pspk, window
+            iter(train_cache), delays.per_neuron, supports, output_pspk
         )
         valid_starts = dataset.starts["valid"]
         lambda_source = "valid"
@@ -261,7 +257,7 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
                 hidden_layers, dataset, valid_starts, cfg.batch_size, total_steps
             )
         valid_ne = accumulate_normal_equations(
-            iter(valid_cache), delays.per_neuron, supports, output_pspk, window
+            iter(valid_cache), delays.per_neuron, supports, output_pspk
         )
         lams = lambda_grid(cfg.lambda_count, cfg.lambda_min, cfg.lambda_max)
         weights, bias, chosen = solve_with_lambda_search(train_ne, valid_ne, lams)
@@ -300,7 +296,7 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
                              ("valid", valid_cache if lambda_source == "valid" else [])):
             if cache:
                 preds = np.concatenate(
-                    [output_voltages_batch(out_layer, m, window) for m, _ in cache]
+                    [output_voltages_batch(out_layer, m, model.grid.window) for m, _ in cache]
                 )
                 targets = np.concatenate([t for _, t in cache])
                 report.rse[split] = rse(preds, targets)

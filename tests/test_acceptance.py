@@ -107,6 +107,11 @@ def random_spike_sets(rng, n_samples, n_neurons, n_steps, lo, hi):
     return sets
 
 
+def masks_of(spike_sets):
+    """Boolean (samples, neurons, steps) mask of one SpikeTrainSet per sample."""
+    return np.stack([s.to_dense() for s in spike_sets]).astype(bool)
+
+
 def planted_targets(spike_sets, weights, tau, sigma, window):
     pk = PlacedKernel(pspk(KernelFamily.HAT), tau, sigma)
     lo, hi = window
@@ -224,8 +229,8 @@ def test_criterion_05_qr_residual_identity():
             targets = rng.normal(size=(n_samples, 2, 8))
             tau = float(rng.uniform(0, 6))
             sigma = float(rng.uniform(2, 8))
-            got = residual_for_candidate(spike_sets, targets, tau, sigma,
-                                         pspk(KernelFamily.HAT), (16, 24))
+            got = residual_for_candidate(masks_of(spike_sets), targets, tau, sigma,
+                                         pspk(KernelFamily.HAT))
             design = assemble_design(
                 np.stack([s.to_dense() for s in spike_sets]),
                 PlacedKernel(pspk(KernelFamily.HAT), tau, sigma), (16, 24),
@@ -250,13 +255,14 @@ def test_criterion_06_batched_normal_equations_and_spectral_search():
             targets = rng.normal(size=(m, 1, horizon))
             tau = float(rng.uniform(0, 4))
             sigma = float(rng.uniform(2, 8))
+            mask = masks_of(spike_sets)
             batches = [
-                (spike_sets[: m // 2], targets[: m // 2]),
-                (spike_sets[m // 2:], targets[m // 2:]),
+                (mask[: m // 2], targets[: m // 2]),
+                (mask[m // 2:], targets[m // 2:]),
             ]
             ne = accumulate_normal_equations(
                 iter(batches), np.array([tau]), np.array([sigma]),
-                pspk(KernelFamily.HAT), window,
+                pspk(KernelFamily.HAT),
             )
             design = assemble_design(
                 np.stack([s.to_dense() for s in spike_sets]),
@@ -287,8 +293,7 @@ def test_criterion_07_planted_delay_recovery():
             weights = rng.normal(size=(1, 4))
             targets = planted_targets(spike_sets, weights, tau_star, 3.0,
                                       (obs_len, total))
-            est = estimate_delays(spike_sets, targets, pspk(KernelFamily.HAT),
-                                  obs_len, window_start=obs_len)
+            est = estimate_delays(masks_of(spike_sets), targets, pspk(KernelFamily.HAT))
             if abs(est.per_neuron[0] - tau_star) <= 1.0:
                 hits += 1
         assert hits >= 45, f"only {hits}/50 planted delays recovered"
@@ -310,8 +315,8 @@ def test_criterion_08_planted_support_recovery():
             targets = planted_targets(spike_sets, weights, tau, sigma_star,
                                       (obs_len, total))
             delays = DelayEstimate(per_neuron=np.array([tau]), aggregate=tau)
-            got = select_supports(spike_sets, targets, delays, cands,
-                                  pspk(KernelFamily.HAT), (obs_len, total))
+            got = select_supports(masks_of(spike_sets), targets, delays, cands,
+                                  pspk(KernelFamily.HAT))
             picked = int(np.argmin(np.abs(cands.values - got[0])))
             if abs(picked - cell) <= 1:
                 hits += 1
@@ -351,7 +356,7 @@ def test_criterion_09_pseudometric_axioms():
         dyz = np.linalg.norm(vy - vz, axis=1)
         np.testing.assert_array_equal(dxy, np.linalg.norm(vy - vx, axis=1))
         assert np.all(dxz <= dxy + dyz + 1e-9)
-        trains = SpikeTrainSet(trains=[np.array([3, 9]), np.array([12])], n_steps=30)
+        trains = SpikeTrainSet(trains=[np.array([3, 9]), np.array([12])], n_steps=30).to_dense()
         assert metric.distance(trains, trains) == 0.0
 
 

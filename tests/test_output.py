@@ -41,6 +41,11 @@ def random_spike_sets(rng, n_samples, n_neurons, n_steps, lo=4, hi=10):
     return sets
 
 
+def masks_of(spike_sets):
+    """Boolean (samples, neurons, steps) mask of one SpikeTrainSet per sample."""
+    return np.stack([s.to_dense() for s in spike_sets]).astype(bool)
+
+
 def planted_targets(spike_sets, weights, tau, sigma, window, noise=0.0, rng=None):
     """Targets generated from the model's own response ansatz."""
     pk = PlacedKernel(HAT, tau, sigma)
@@ -65,16 +70,16 @@ class TestEstimateDelays:
         # peak trails the spike by exactly 5 steps
         obs_len, horizon = 32, 16
         total = obs_len + horizon
-        spikes = [SpikeTrainSet(trains=[np.array([30])], n_steps=total)]
+        spikes = masks_of([SpikeTrainSet(trains=[np.array([30])], n_steps=total)])
         t = np.arange(obs_len, total, dtype=float)
         target = PlacedKernel(HAT, 0.0, 4.0).sample_at(t - 30.0 - 5.0)[None, None, :]
-        est = estimate_delays(spikes, target, HAT, obs_len, window_start=obs_len)
+        est = estimate_delays(spikes, target, HAT)
         assert abs(est.per_neuron[0] - 5.0) <= 1.0
 
     def test_zero_targets_argmax_at_zero(self):
-        spikes = [SpikeTrainSet(trains=[np.array([3, 7])], n_steps=24)]
+        spikes = masks_of([SpikeTrainSet(trains=[np.array([3, 7])], n_steps=24)])
         targets = np.full((1, 2, 8), 0.42)  # constant -> zero after centering
-        est = estimate_delays(spikes, targets, HAT, 16, window_start=16)
+        est = estimate_delays(spikes, targets, HAT)
         np.testing.assert_array_equal(est.per_neuron, [0.0, 0.0])
 
     def test_two_channels_recovered_independently(self):
@@ -86,15 +91,52 @@ class TestEstimateDelays:
         y0 = planted_targets(spike_sets, w[:1], 3.0, 3.0, (obs_len, total))
         y1 = planted_targets(spike_sets, w[1:], 8.0, 3.0, (obs_len, total))
         targets = np.concatenate([y0, y1], axis=1)
-        est = estimate_delays(spike_sets, targets, HAT, obs_len, window_start=obs_len)
+        est = estimate_delays(masks_of(spike_sets), targets, HAT)
         assert abs(est.per_neuron[0] - 3.0) <= 1.0
         assert abs(est.per_neuron[1] - 8.0) <= 1.0
 
     def test_silent_network_rejected(self):
-        spikes = [SpikeTrainSet(trains=[np.array([], int)], n_steps=24)]
+        spikes = masks_of([SpikeTrainSet(trains=[np.array([], int)], n_steps=24)])
         targets = np.zeros((1, 1, 8))
         with pytest.raises(SilentNetworkError):
-            estimate_delays(spikes, targets, HAT, 16, window_start=16)
+            estimate_delays(spikes, targets, HAT)
+
+    @staticmethod
+    def per_spike_delays(mask, targets):
+        """The lag of the peak curve, from a plain loop over spikes and lags."""
+        n_samples, d_out, horizon = targets.shape
+        n_lags = mask.shape[2] - horizon
+        agg = np.zeros((d_out, n_lags))
+        for sample_mask, target in zip(mask, targets):
+            centered = target - target.mean(axis=1, keepdims=True)
+            for train in sample_mask:
+                for lag in range(n_lags):
+                    carried = np.zeros(d_out)
+                    for step in np.flatnonzero(train):
+                        h = step + lag - n_lags   # the target step the spike lands on
+                        if 0 <= h < horizon:
+                            carried += centered[:, h]
+                    agg[:, lag] += np.abs(carried)
+        return np.argmax(agg, axis=1).astype(float)
+
+    @pytest.mark.parametrize("n_steps, horizon", [(20, 12), (40, 10)])   # O < H, O > H
+    def test_matches_per_spike_reference(self, n_steps, horizon):
+        rng = np.random.default_rng(66)
+        for _ in range(10):
+            mask = rng.random((5, 4, n_steps)) < 0.2
+            mask[0] = False             # a sample with no spikes
+            mask[1, 0, 0] = True        # spikes at the first and the last step
+            mask[1, 1, -1] = True
+            targets = rng.normal(size=(5, 3, horizon))
+            est = estimate_delays(mask, targets, HAT)
+            np.testing.assert_array_equal(est.per_neuron, self.per_spike_delays(mask, targets))
+
+    def test_window_must_fit_the_mask(self):
+        mask = np.ones((2, 3, 8), dtype=bool)
+        with pytest.raises(ValueError, match="before the target window"):
+            estimate_delays(mask, np.ones((2, 1, 8)), HAT)   # no step before the window
+        with pytest.raises(ValueError, match="one spike mask per sample"):
+            estimate_delays(mask, np.ones((3, 1, 4)), HAT)
 
     def test_aggregation_median_and_min(self):
         est = DelayEstimate(per_neuron=np.array([1.0, 5.0, 9.0]), aggregate=0.0)
@@ -138,9 +180,9 @@ class TestProjectionResiduals:
     def test_orthogonal_target_keeps_its_norm(self):
         # spike-free design: only the ones column is active; a mean-free
         # target is orthogonal to it
-        spikes = [SpikeTrainSet(trains=[np.array([], int)] * 3, n_steps=24)]
+        spikes = masks_of([SpikeTrainSet(trains=[np.array([], int)] * 3, n_steps=24)])
         y = np.array([1.0, -1.0] * 4)[None, None, :]  # mean-free over 8 steps
-        res = residual_for_candidate(spikes, y, 2.0, 4.0, HAT, (16, 24))
+        res = residual_for_candidate(spikes, y, 2.0, 4.0, HAT)
         assert res[0] == pytest.approx(float(np.sum(y**2)), rel=1e-12)
 
     def test_matches_dense_least_squares(self):
@@ -148,7 +190,7 @@ class TestProjectionResiduals:
         for _ in range(20):
             spike_sets = random_spike_sets(rng, 2, 3, 24, lo=3, hi=6)
             targets = rng.normal(size=(2, 2, 8))
-            res = residual_for_candidate(spike_sets, targets, 1.0, 4.0, HAT, (16, 24))
+            res = residual_for_candidate(masks_of(spike_sets), targets, 1.0, 4.0, HAT)
             design = assemble_design(
                 np.stack([s.to_dense() for s in spike_sets]),
                 PlacedKernel(HAT, 1.0, 4.0), (16, 24),
@@ -213,7 +255,7 @@ class TestGramResiduals:
                 targets = rng.normal(size=(6, 2, 8))
             cands = support_candidates(1.0, 16.0, 1.5, 8)
             delays = DelayEstimate(per_neuron=np.zeros(2), aggregate=float(rng.uniform(0, 4)))
-            got = select_supports(mask, targets, delays, cands, HAT, window)
+            got = select_supports(mask, targets, delays, cands, HAT)
             stacked = targets.transpose(0, 2, 1).reshape(-1, 2)
             ref = np.stack([
                 lstsq_residuals(
@@ -249,7 +291,7 @@ class TestSelectSupports:
         w = rng.normal(size=(1, 4))
         targets = planted_targets(spike_sets, w, 4.0, sigma_star, (obs_len, total))
         delays = DelayEstimate(per_neuron=np.array([4.0]), aggregate=4.0)
-        got = select_supports(spike_sets, targets, delays, cands, HAT, (obs_len, total))
+        got = select_supports(masks_of(spike_sets), targets, delays, cands, HAT)
         cell = np.searchsorted(cands.values, got[0])
         assert abs(cell - 12) <= 1
 
@@ -259,7 +301,7 @@ class TestSelectSupports:
         targets = np.full((5, 2, 8), 0.7)  # in the span of the ones column
         cands = support_candidates(1.0, 16.0, 1.5, 8)
         delays = DelayEstimate(per_neuron=np.zeros(2), aggregate=0.0)
-        got = select_supports(spike_sets, targets, delays, cands, HAT, (16, 24))
+        got = select_supports(masks_of(spike_sets), targets, delays, cands, HAT)
         np.testing.assert_array_equal(got, [cands.values[0], cands.values[0]])
 
     def test_single_candidate_returned(self):
@@ -270,7 +312,7 @@ class TestSelectSupports:
         cands.values = cands.values[:1]
         cands.count = 1
         delays = DelayEstimate(per_neuron=np.zeros(1), aggregate=0.0)
-        got = select_supports(spike_sets, targets, delays, cands, HAT, (16, 24))
+        got = select_supports(masks_of(spike_sets), targets, delays, cands, HAT)
         assert got[0] == cands.values[0]
 
 
@@ -286,7 +328,7 @@ class TestGramAccumulator:
 
     def test_batch_invariance(self):
         rng = np.random.default_rng(56)
-        spike_sets = random_spike_sets(rng, 10, 4, 24)
+        mask = masks_of(random_spike_sets(rng, 10, 4, 24))
         targets = rng.normal(size=(10, 2, 8))
         delays = np.array([1.0, 3.0])
         supports = np.array([4.0, 4.0])
@@ -294,11 +336,11 @@ class TestGramAccumulator:
         def batches(sizes):
             lo = 0
             for size in sizes:
-                yield spike_sets[lo: lo + size], targets[lo: lo + size]
+                yield mask[lo: lo + size], targets[lo: lo + size]
                 lo += size
 
-        one = accumulate_normal_equations(batches([10]), delays, supports, HAT, (16, 24))
-        two = accumulate_normal_equations(batches([6, 4]), delays, supports, HAT, (16, 24))
+        one = accumulate_normal_equations(batches([10]), delays, supports, HAT)
+        two = accumulate_normal_equations(batches([6, 4]), delays, supports, HAT)
         for g1, g2 in zip(one.groups, two.groups):
             np.testing.assert_allclose(g1.gram, g2.gram, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(g1.rhs, g2.rhs, rtol=1e-12, atol=1e-12)
@@ -306,21 +348,21 @@ class TestGramAccumulator:
 
     def test_sample_count_tracked(self):
         rng = np.random.default_rng(57)
-        spike_sets = random_spike_sets(rng, 7, 3, 24)
+        mask = masks_of(random_spike_sets(rng, 7, 3, 24))
         targets = rng.normal(size=(7, 1, 8))
         ne = accumulate_normal_equations(
-            iter([(spike_sets, targets)]), np.zeros(1), np.ones(1), HAT, (16, 24)
+            iter([(mask, targets)]), np.zeros(1), np.ones(1), HAT
         )
         assert ne.groups[0].count == 7
 
     def test_dedupe_shares_groups(self):
         rng = np.random.default_rng(58)
-        spike_sets = random_spike_sets(rng, 4, 3, 24)
+        mask = masks_of(random_spike_sets(rng, 4, 3, 24))
         targets = rng.normal(size=(4, 3, 8))
         delays = np.array([2.0, 2.0, 5.0])
         supports = np.array([4.0, 4.0, 4.0])
         ne = accumulate_normal_equations(
-            iter([(spike_sets, targets)]), delays, supports, HAT, (16, 24)
+            iter([(mask, targets)]), delays, supports, HAT
         )
         assert len(ne.groups) == 2
         assert ne.group_of_neuron[0][0] == ne.group_of_neuron[1][0]
@@ -341,7 +383,7 @@ class TestLambdaSearch:
         delays = np.array([1.0, 2.0])
         supports = np.array([3.0, 5.0])
         ne = accumulate_normal_equations(
-            iter([(spike_sets, targets)]), delays, supports, HAT, window
+            iter([(masks_of(spike_sets), targets)]), delays, supports, HAT
         )
         designs = [
             assemble_design(np.stack([s.to_dense() for s in spike_sets]),
@@ -368,8 +410,7 @@ class TestLambdaSearch:
         acc.add_block(np.eye(3), np.array([[2.0], [3.0], [4.0]]), 1)
         from sswim.output import NormalEquations
 
-        ne = NormalEquations(groups=[acc], group_of_neuron=[(0, 0)],
-                             delays=np.zeros(1), supports=np.ones(1))
+        ne = NormalEquations(groups=[acc], group_of_neuron=[(0, 0)])
         w, b, chosen = solve_with_lambda_search(ne, ne, np.array([0.0]))
         assert b[0] == pytest.approx(2.0)
         np.testing.assert_allclose(w[0], [3.0, 4.0])
@@ -389,10 +430,8 @@ class TestLambdaSearch:
         vacc = GramAccumulator(2, 1)
         from sswim.output import NormalEquations
 
-        ne = NormalEquations(groups=[acc], group_of_neuron=[(0, 0)],
-                             delays=np.zeros(1), supports=np.ones(1))
-        vne = NormalEquations(groups=[vacc], group_of_neuron=[(0, 0)],
-                              delays=np.zeros(1), supports=np.ones(1))
+        ne = NormalEquations(groups=[acc], group_of_neuron=[(0, 0)])
+        vne = NormalEquations(groups=[vacc], group_of_neuron=[(0, 0)])
         lams = np.array([0.01, 0.1, 1.0])
         _, _, chosen = solve_with_lambda_search(ne, vne, lams)
         assert chosen[0] == 1.0
@@ -409,8 +448,7 @@ class TestLambdaSearch:
 
         bad = accumulator()
         bad.gram[:] = np.nan
-        params = dict(group_of_neuron=[(0, 0), (1, 0)],
-                      delays=np.zeros(2), supports=np.array([1.0, 2.0]))
+        params = dict(group_of_neuron=[(0, 0), (1, 0)])
         ne = NormalEquations(groups=[accumulator(), accumulator()], **params)
         vne = NormalEquations(groups=[accumulator(), bad], **params)
         with pytest.raises(LambdaSearchError, match="output neuron 1") as info:
@@ -439,13 +477,12 @@ class TestConditionBound:
         for _ in range(10):
             n_samples, n_hidden, horizon = 6, 4, 8
             total = 24
-            window = (16, 24)
             spike_sets = random_spike_sets(rng, n_samples, n_hidden, total, lo=2, hi=6)
             targets = rng.normal(size=(n_samples, 1, horizon))
             tau, sigma = 2.0, 5.0
             ne = accumulate_normal_equations(
-                iter([(spike_sets, targets)]),
-                np.array([tau]), np.array([sigma]), HAT, window,
+                iter([(masks_of(spike_sets), targets)]),
+                np.array([tau]), np.array([sigma]), HAT,
             )
             acc = ne.groups[0]
             lam = rng.uniform(0.01, 1.0)
@@ -520,8 +557,7 @@ def supports_and_residuals(monkeypatch, mask, targets):
     with monkeypatch.context() as patch:
         patch.setattr(output, "projection_residuals", recording)
         grid = support_candidates(1.0, 16.0, 1.5, 7)
-        choice = select_supports(mask, targets, DelayEstimate(np.zeros(4), 2.0), grid, HAT,
-                                 (32, 40))
+        choice = select_supports(mask, targets, DelayEstimate(np.zeros(4), 2.0), grid, HAT)
     return choice.tobytes(), sorted(scored)
 
 
@@ -530,7 +566,7 @@ def normal_equation_bytes(mask, targets, delays, supports):
         for lo, hi in ((0, 10), (10, 20), (20, 23)):
             yield mask[lo:hi], targets[lo:hi]
 
-    ne = accumulate_normal_equations(batches(), delays, supports, HAT, (32, 40))
+    ne = accumulate_normal_equations(batches(), delays, supports, HAT)
     return [(acc.gram.tobytes(), acc.rhs.tobytes(), acc.target_sq.tobytes(), acc.count)
             for acc in ne.groups]
 
