@@ -62,7 +62,7 @@ def _write_predictions_csv(path: str, starts, predictions, targets) -> None:
 
 def cmd_train(args) -> int:
     from .network import save_model
-    from .train import predict_batch, report_lines, timing_lines, train_sswim
+    from .train import report_lines, timing_lines, train_sswim
 
     cfg = load_run_config(args.config)
     if args.seed is not None:
@@ -77,10 +77,9 @@ def cmd_train(args) -> int:
         _write_lines(os.path.join(out_dir, f"timings_seed{seed}.txt"), timing_lines(report))
         test_starts = dataset.starts["test"]
         if len(test_starts):
-            preds = predict_batch(model, dataset.input_batch(test_starts))
             _write_predictions_csv(
                 os.path.join(out_dir, f"predictions_seed{seed}.csv"),
-                test_starts, preds, dataset.target_batch(test_starts),
+                test_starts, report.test_predictions, dataset.target_batch(test_starts),
             )
         for line in report_lines(report):
             if line.startswith("rse_"):

@@ -24,6 +24,11 @@ it. Both are returned as (samples, neurons, steps) views. Each neuron's
 products and each step's sums are the ones a per-neuron, per-step loop
 would do, in the same order, so results are bit for bit those of that loop.
 
+``simulate_hidden_stack`` runs the samples in blocks of ``BLOCK``, each
+block through every layer in turn, and zero-pads the last block, so every
+conv product has ``BLOCK`` rows and a window's spikes do not depend on the
+batch it comes in. Each layer's conv stack is built once per call.
+
 The output layer is linear too, so its read-out applies the weights
 first: one (outputs, neurons) product per sample contracts the spikes to
 one trace per output, and each output's (steps, window) kernel matrix, the
@@ -37,20 +42,22 @@ and the output fit (``output.select_supports`` and
 ``output.accumulate_normal_equations``) run on every available CPU.
 ``_split_run`` cuts an axis into one contiguous range per CPU, when the
 work is large enough to pay for the threads, and runs plain numpy on each
-range on a thread of its own (numpy and BLAS release the GIL). The input
-projection and the step loop are split by sample, the conv stack by
-neuron. Every split keeps each BLAS call the serial code would make, one
-gemm per sample or per neuron, and the elementwise work gives the same
-bits on any slice, so predictions do not depend on the CPU count. The
-caller allocates every large array a worker writes, scratch included: a
-worker that allocated would get its own malloc arena and hold its memory.
-The forward pass's workers call no other function of this module. Their
-threads end with the call, so a forked child inherits none.
+range on a thread of its own (numpy and BLAS release the GIL). The forward
+pass splits once per ``simulate_hidden_stack`` call, by block: each thread
+runs its range of blocks one at a time through every layer, so one
+thread's BLAS products overlap another's step loop. A block's BLAS calls,
+one gemm per sample or per neuron, are the same on any thread, so
+predictions do not depend on the CPU count. The caller allocates every
+large array a worker writes, scratch included: a worker that allocated
+would get its own malloc arena and hold its memory. A worker starts no
+threads of its own, and the threads end with the call, so a forked child
+inherits none.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -213,6 +220,40 @@ def _split_run(fn, ranges) -> None:
         fut.result()
 
 
+# Samples per block of the forward pass. Every conv product of a hidden
+# layer has this many rows, the tail block zero-padded, because OpenBLAS
+# picks its gemm kernel by matrix size: products of another row count can
+# round differently in the last bit, and a spike whose voltage sits at the
+# threshold would then flip with the batch size.
+BLOCK = 32
+
+
+def _leading(buf: np.ndarray, shape) -> np.ndarray:
+    """A view of ``buf``'s leading elements in ``shape``."""
+    return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
+@dataclass
+class _BlockScratch:
+    """One thread's buffers for running blocks of ``BLOCK`` samples through
+    a hidden stack, sized for its widest layer; each layer uses views of
+    their leading elements."""
+
+    inputs: np.ndarray      # a padded block, or the previous layer's spikes as floats
+    projected: np.ndarray   # the weights applied to the inputs
+    drive: np.ndarray       # the drive, (samples, neurons, steps)
+    volt: np.ndarray        # the voltages, time-major
+    spiked: np.ndarray      # the spikes, time-major
+    cost: np.ndarray        # one lag's spike cost, one row per sample
+
+    @classmethod
+    def allocate(cls, n_inputs: int, n_neurons: int, n_steps: int) -> "_BlockScratch":
+        size = BLOCK * n_neurons * n_steps
+        return cls(inputs=np.empty(BLOCK * n_inputs * n_steps), projected=np.empty(size),
+                   drive=np.empty(size), volt=np.empty(size),
+                   spiked=np.empty(size, dtype=bool), cost=np.empty(BLOCK * n_neurons))
+
+
 # ---------------------------------------------------------------------------
 # convolution machinery
 
@@ -256,30 +297,29 @@ def kernel_conv_matrix(pk: PlacedKernel, n_steps: int) -> np.ndarray:
     return kernel_conv_stack(pk.spec, [pk.delay], [pk.support], n_steps)[0]
 
 
-def hidden_drive_batch(layer: LayerParams, dense_in: np.ndarray) -> np.ndarray:
+def hidden_drive_batch(layer: LayerParams, dense_in: np.ndarray, stack: np.ndarray | None = None,
+                       scratch: _BlockScratch | None = None) -> np.ndarray:
     """Input contribution plus bias for a batch: (samples, neurons, steps).
 
     Exploits linearity: the weighted sum of per-channel kernel responses
-    equals the kernel response of the weighted input sum. The projection
-    is split by sample, the conv stack by neuron.
+    equals the kernel response of the weighted input sum. ``stack`` is the
+    layer's conv stack, built here when not given; with ``scratch`` the
+    projection and the drive are written into its buffers, and the drive
+    is returned as a view of them.
     """
     n_samples, n_steps = dense_in.shape[0], dense_in.shape[-1]
-    stack = kernel_conv_stack(layer.pspk, layer.delay, layer.support, n_steps)
-    projected = np.empty((n_samples, layer.n_neurons, n_steps))
-
-    def project(lo, hi):
-        np.matmul(layer.weights, dense_in[lo:hi], out=projected[lo:hi])  # one gemm per sample
-
-    _split_run(project, _split_ranges(n_samples, projected.size))
-    drive = np.empty_like(projected)
-    src, dst = projected.transpose(1, 0, 2), drive.transpose(1, 0, 2)
-
-    def convolve(lo, hi):
-        # one (M, G) @ (G, G) product per neuron
-        np.matmul(src[lo:hi], stack[lo:hi].transpose(0, 2, 1), out=dst[lo:hi])
-        dst[lo:hi] += layer.bias[lo:hi, None, None]
-
-    _split_run(convolve, _split_ranges(layer.n_neurons, projected.size))
+    if stack is None:
+        stack = kernel_conv_stack(layer.pspk, layer.delay, layer.support, n_steps)
+    shape = (n_samples, layer.n_neurons, n_steps)
+    if scratch is None:
+        projected, drive = np.empty(shape), np.empty(shape)
+    else:
+        projected, drive = _leading(scratch.projected, shape), _leading(scratch.drive, shape)
+    np.matmul(layer.weights, dense_in, out=projected)   # one gemm per sample
+    # one (samples, steps) @ (steps, steps) product per neuron
+    np.matmul(projected.transpose(1, 0, 2), stack.transpose(0, 2, 1),
+              out=drive.transpose(1, 0, 2))
+    drive += layer.bias[:, None]
     return drive
 
 
@@ -290,62 +330,84 @@ def refractory_taps(layer: LayerParams) -> np.ndarray:
     return layer.rfk.place(lags, 0.0, layer.rf_support[:, None])
 
 
-def simulate_hidden_batch(layer: LayerParams,
-                          dense_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def simulate_hidden_batch(layer: LayerParams, dense_in: np.ndarray,
+                          stack: np.ndarray | None = None,
+                          scratch: _BlockScratch | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Run a hidden layer over a batch; returns (spike mask, voltages),
     both (samples, neurons, steps).
 
     The time loop is sequential: each step's voltage includes the spike
     cost of strictly earlier spikes only. It runs on time-major
     (steps, samples, neurons) arrays, so every per-step slice is
-    contiguous; the results are transposed views of them.
+    contiguous; the results are transposed views of them, views of
+    ``scratch``'s buffers when it is given. ``stack`` is passed on to
+    ``hidden_drive_batch``.
     """
     if not layer.is_hidden:
         raise ValueError("simulate_hidden_batch needs a hidden layer")
-    drive = hidden_drive_batch(layer, dense_in)
-    volt = np.empty((drive.shape[2], drive.shape[0], drive.shape[1]))
-
-    def transpose(lo, hi):
-        for m in range(lo, hi):
-            volt[:, m] = drive[m].T   # sample by sample: each block stays in cache
-
-    ranges = _split_ranges(volt.shape[1], volt.size)
-    _split_run(transpose, ranges)
-    del drive
+    drive = hidden_drive_batch(layer, dense_in, stack, scratch)
+    shape = (drive.shape[2], drive.shape[0], drive.shape[1])
+    if scratch is None:
+        volt, spiked, cost = np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape[1:])
+    else:
+        volt, spiked = _leading(scratch.volt, shape), _leading(scratch.spiked, shape)
+        cost = _leading(scratch.cost, shape[1:])
+    for m in range(shape[1]):
+        volt[:, m] = drive[m].T   # sample by sample: each block stays in cache
     # row d - 1 holds every neuron's spike cost d steps after its spike
     cost_rows = np.ascontiguousarray((layer.spike_cost[:, None] * refractory_taps(layer)).T)
     lags = [d for d in range(1, len(cost_rows) + 1) if np.any(cost_rows[d - 1])]
-    spiked = np.empty(volt.shape, dtype=bool)
-    cost = np.empty(volt.shape[1:])   # the per-lag cost product, one row per sample
-
-    def run(lo, hi):
-        scratch = cost[lo:hi]
-        for t in range(volt.shape[0]):
-            v = volt[t, lo:hi]
-            for d in lags:
-                if d > t:
-                    break
-                np.multiply(cost_rows[d - 1], spiked[t - d, lo:hi], out=scratch)
-                v += scratch
-            np.greater_equal(v, THRESHOLD, out=spiked[t, lo:hi])
-
-    _split_run(run, ranges)
+    for t in range(shape[0]):
+        v = volt[t]
+        for d in lags:
+            if d > t:
+                break
+            np.multiply(cost_rows[d - 1], spiked[t - d], out=cost)   # one row per sample
+            v += cost
+        np.greater_equal(v, THRESHOLD, out=spiked[t])
     return spiked.transpose(1, 2, 0), volt.transpose(1, 2, 0)
 
 
-def simulate_hidden_stack(layers, dense_in: np.ndarray, chunk: int) -> list:
+def simulate_hidden_stack(layers, dense_in: np.ndarray) -> list:
     """Spike masks (samples, neurons, steps) of every hidden layer in
-    ``layers`` for a dense input batch, each layer simulated ``chunk``
-    samples at a time on the previous layer's spikes."""
-    masks = []
-    dense = dense_in
-    for layer in layers:
-        if masks:
-            dense = masks[-1].astype(float)
-        mask = np.empty((dense.shape[0], layer.n_neurons, dense.shape[-1]), dtype=bool)
-        for lo in range(0, dense.shape[0], chunk):
-            mask[lo: lo + chunk], _ = simulate_hidden_batch(layer, dense[lo: lo + chunk])
-        masks.append(mask)
+    ``layers`` for a dense input batch.
+
+    The samples run in blocks of ``BLOCK``, each block through every layer
+    before the next starts, and the last block is zero-padded to full size,
+    so a window's spikes do not depend on the batch it comes in. Each
+    layer's conv stack is built once per call. The blocks are cut into one
+    contiguous range per thread, and each thread runs its blocks one at a
+    time in buffers allocated for it here.
+    """
+    if not layers:
+        return []
+    n_samples, n_steps = dense_in.shape[0], dense_in.shape[-1]
+    masks = [np.empty((n_samples, layer.n_neurons, n_steps), dtype=bool) for layer in layers]
+    stacks = [kernel_conv_stack(layer.pspk, layer.delay, layer.support, n_steps)
+              for layer in layers]
+    widths = [dense_in.shape[1]] + [layer.n_neurons for layer in layers]
+    n_blocks = -(-n_samples // BLOCK)
+    ranges = _split_ranges(n_blocks, n_blocks * BLOCK * sum(widths[1:]) * n_steps)
+    scratches = {lo: _BlockScratch.allocate(max(widths[:-1]), max(widths[1:]), n_steps)
+                 for lo, _ in ranges}
+
+    def run(lo, hi):
+        scratch = scratches[lo]
+        for b in range(lo, hi):
+            first, last = b * BLOCK, min(n_samples, (b + 1) * BLOCK)
+            block = dense_in[first: last]
+            if last - first < BLOCK:
+                block = _leading(scratch.inputs, (BLOCK,) + dense_in.shape[1:])
+                block[: last - first] = dense_in[first: last]
+                block[last - first:] = 0.0
+            for k, (layer, stack, mask) in enumerate(zip(layers, stacks, masks)):
+                spiked, _ = simulate_hidden_batch(layer, block, stack, scratch)
+                mask[first: last] = spiked[: last - first]
+                if k + 1 < len(layers):   # the next layer's float input
+                    block = _leading(scratch.inputs, spiked.shape)
+                    np.copyto(block, spiked)
+
+    _split_run(run, ranges)
     return masks
 
 
@@ -354,13 +416,20 @@ def output_voltages_batch(layer: LayerParams, spikes: np.ndarray,
     """Affine read-out on a window for a (samples, neurons, steps) batch of
     spike masks or indicators: (samples, outputs, window steps).
 
-    The weights are applied first, one gemm per sample, then each output's
-    window kernel, the window rows of its conv stack, one
+    The spikes are cast to float ``BLOCK`` samples at a time into one
+    buffer. The weights are applied first, one gemm per sample, then each
+    output's window kernel, the window rows of its conv stack, one
     (1, steps) @ (steps, window) product per sample and output, so a
     window's read-out does not depend on its batch.
     """
-    projected = np.matmul(layer.weights, spikes)   # (M, d_out, G)
-    stack = kernel_conv_stack(layer.pspk, layer.delay, layer.support, spikes.shape[-1])
+    n_samples, _, n_steps = spikes.shape
+    projected = np.empty((n_samples, layer.n_neurons, n_steps))
+    block = np.empty((min(BLOCK, n_samples),) + spikes.shape[1:])
+    for lo in range(0, n_samples, BLOCK):
+        hi = min(lo + BLOCK, n_samples)
+        np.copyto(block[: hi - lo], spikes[lo: hi])
+        np.matmul(layer.weights, block[: hi - lo], out=projected[lo: hi])
+    stack = kernel_conv_stack(layer.pspk, layer.delay, layer.support, n_steps)
     kernels = np.ascontiguousarray(
         stack[:, window[0]: window[1]].transpose(0, 2, 1))   # (d_out, G, W)
     out = np.matmul(projected[:, :, None, :], kernels)[:, :, 0, :]

@@ -17,17 +17,23 @@ normal equations accumulated in batches, with the regularization strength
 selected on a validation split via a single symmetric eigendecomposition
 per neuron.
 
+Every design is built from the boolean mask, cast to float
+``network.BLOCK`` samples at a time into a scratch buffer, so no float
+copy of a whole mask is made; each sample's product is the one a whole
+float copy would give.
+
 The support search and the normal equations run on every available CPU
 through ``network._split_run``: each thread scores one contiguous range of
 support candidates, or accumulates one range of (delay, support) groups,
-into a design buffer the caller allocated for it. Each candidate's and
-each group's BLAS calls, and the order in which a group sums its batches,
-are those of the serial loop, so residuals, Gram matrices and model files
-are bit for bit the same on any CPU count.
+into a design buffer and a cast scratch the caller allocated for it. Each
+candidate's and each group's BLAS calls, and the order in which a group
+sums its batches, are those of the serial loop, so residuals, Gram
+matrices and model files are bit for bit the same on any CPU count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +41,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EigensolverError, LambdaSearchError, SilentNetworkError
 from .kernels import KernelSpec, PlacedKernel, kernel_peak_offset
-from .network import _split_ranges, _split_run, kernel_conv_matrix
+from .network import BLOCK, _leading, _split_ranges, _split_run, kernel_conv_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -125,27 +131,46 @@ def support_candidates(lo: float, hi: float, alpha: float, count: int) -> Suppor
     return SupportCandidates(values=values, alpha=alpha, bounds=(lo, hi), count=count)
 
 
-def assemble_design(dense_combs: np.ndarray, pk: PlacedKernel,
-                    window: tuple[int, int], out: np.ndarray | None = None) -> np.ndarray:
+def _check_buffer(buf: np.ndarray, size: int, name: str) -> None:
+    if buf.dtype != float or not buf.flags.c_contiguous or buf.size < size:
+        raise ValueError(f"{name} must be a C-contiguous float buffer of at least {size} elements")
+
+
+def _cast_scratch(mask: np.ndarray) -> np.ndarray:
+    """A buffer for one ``BLOCK`` of ``mask``'s samples as floats."""
+    return np.empty(min(BLOCK, mask.shape[0]) * mask.shape[1] * mask.shape[2])
+
+
+def assemble_design(mask: np.ndarray, pk: PlacedKernel, window: tuple[int, int],
+                    out: np.ndarray | None = None,
+                    scratch: np.ndarray | None = None) -> np.ndarray:
     """Stacked design matrix: a ones column plus one kernel-response column
     per hidden neuron, rows running over samples x window steps.
 
-    The kernel is the window rows of ``kernel_conv_matrix``. Each sample's
-    (W, G) @ (G, N_L) product is written straight into its rows of the
-    design. With ``out``, a C-contiguous float buffer of at least that many
-    elements, the design is written into its leading elements and returned
-    as a view of them, so a caller that scores many designs allocates one."""
-    n_samples, n_hidden, n_steps = dense_combs.shape
+    The kernel is the window rows of ``kernel_conv_matrix``. The mask is
+    cast to float ``BLOCK`` samples at a time into ``scratch``, and each
+    sample's (W, G) @ (G, N_L) product is written straight into its rows of
+    the design. With ``out``, a C-contiguous float buffer of at least that
+    many elements, the design is written into its leading elements and
+    returned as a view of them, so a caller that scores many designs
+    allocates one; ``scratch`` is such a buffer for one block of samples."""
+    n_samples, n_hidden, n_steps = mask.shape
     shape = (n_samples, window[1] - window[0], n_hidden + 1)
-    size = shape[0] * shape[1] * shape[2]
+    size = math.prod(shape)
     if out is None:
         out = np.empty(size)
-    elif out.dtype != float or not out.flags.c_contiguous or out.size < size:
-        raise ValueError(f"out must be a C-contiguous float buffer of at least {size} elements")
+    _check_buffer(out, size, "out")
+    if scratch is None:
+        scratch = _cast_scratch(mask)
+    _check_buffer(scratch, min(BLOCK, n_samples) * n_hidden * n_steps, "scratch")
     k = np.asfortranarray(kernel_conv_matrix(pk, n_steps)[window[0]: window[1]])
-    design = out.reshape(-1)[:size].reshape(shape)
+    design = _leading(out, shape)
     design[..., 0] = 1.0
-    np.matmul(k, dense_combs.transpose(0, 2, 1), out=design[..., 1:])
+    for lo in range(0, n_samples, BLOCK):
+        hi = min(lo + BLOCK, n_samples)
+        block = _leading(scratch, (hi - lo, n_hidden, n_steps))
+        np.copyto(block, mask[lo: hi])
+        np.matmul(k, block.transpose(0, 2, 1), out=design[lo: hi, :, 1:])
     return design.reshape(-1, n_hidden + 1)
 
 
@@ -179,7 +204,7 @@ def residual_for_candidate(mask: np.ndarray, targets: np.ndarray,
     ``mask`` is a boolean (samples, neurons, steps) array and ``targets``
     (samples, d_out, H) on its last H steps.
     """
-    design = assemble_design(mask.astype(float), PlacedKernel(pspk_spec, tau_bar, sigma_c),
+    design = assemble_design(mask, PlacedKernel(pspk_spec, tau_bar, sigma_c),
                              _target_window(mask, targets))
     return projection_residuals(design, _stack_targets(targets))
 
@@ -197,17 +222,17 @@ def select_supports(mask: np.ndarray, targets: np.ndarray, delays: DelayEstimate
     that shape.
     """
     window = _target_window(mask, targets)
-    combs = mask.astype(float)
     stacked = _stack_targets(targets)
-    n_rows, n_features = stacked.shape[0], combs.shape[1] + 1
+    n_rows, n_features = stacked.shape[0], mask.shape[1] + 1
     residuals = np.empty((candidates.count, targets.shape[1]))
     ranges = _split_ranges(candidates.count, candidates.count * n_rows * n_features)
     designs = {lo: np.empty(n_rows * n_features) for lo, _ in ranges}
+    scratches = {lo: _cast_scratch(mask) for lo, _ in ranges}
 
     def score(lo, hi):
         for c in range(lo, hi):
             pk = PlacedKernel(pspk_spec, delays.aggregate, float(candidates.values[c]))
-            design = assemble_design(combs, pk, window, out=designs[lo])
+            design = assemble_design(mask, pk, window, out=designs[lo], scratch=scratches[lo])
             residuals[c] = projection_residuals(design, stacked)
 
     _split_run(score, ranges)
@@ -292,26 +317,26 @@ def accumulate_normal_equations(batches, delays: np.ndarray, supports: np.ndarra
     delays = np.asarray(delays, dtype=float)
     supports = np.asarray(supports, dtype=float)
     keys, members, group_of_neuron = _dedupe_params(delays, supports)
-    accs = combs = None
+    accs = None
+    capacity = 0
     for mask, targets in batches:
         window = _target_window(mask, targets)
         stacked = _stack_targets(targets)
         n_features = mask.shape[1] + 1
         if accs is None:
             accs = [GramAccumulator(n_features, len(m)) for m in members]
-        if combs is None or combs.shape[0] < mask.shape[0]:
-            # sized by the largest batch so far; smaller ones use its leading samples
-            combs = np.empty(mask.shape)
+        if capacity < mask.shape[0]:
+            # sized by the largest batch so far; smaller ones use its leading elements
+            capacity = mask.shape[0]
             ranges = _split_ranges(len(members), len(members) * stacked.shape[0] * n_features)
             designs = {lo: np.empty(stacked.shape[0] * n_features) for lo, _ in ranges}
-        batch = combs[: mask.shape[0]]
-        np.copyto(batch, mask)
+            scratches = {lo: _cast_scratch(mask) for lo, _ in ranges}
 
         def add(lo, hi):
             for g in range(lo, hi):
                 pk = PlacedKernel(pspk_spec, keys[g][0], keys[g][1])
-                design = assemble_design(batch, pk, window, out=designs[lo])
-                accs[g].add_block(design, stacked[:, members[g]], batch.shape[0])
+                design = assemble_design(mask, pk, window, out=designs[lo], scratch=scratches[lo])
+                accs[g].add_block(design, stacked[:, members[g]], mask.shape[0])
 
         _split_run(add, ranges)
     if accs is None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateDistributionError
 from .kernels import KernelSpec, PlacedKernel
-from .network import kernel_conv_matrix
+from .network import BLOCK, kernel_conv_matrix
 
 
 @dataclass(frozen=True)
@@ -114,16 +114,16 @@ class Pseudometric:
 
     def prepare_batch(self, dense: np.ndarray) -> np.ndarray:
         """Centered, embedded flat vector per sample of a (samples, channels,
-        steps) array, lifted first when the metric has a lift. Each sample's
-        embedding is written into one (samples, features) array."""
+        steps) array, lifted first when the metric has a lift. Each sample is
+        centered and embedded alone and written into one (samples, features)
+        array."""
         if self.lift is not None:
             dense = self.lift.apply_batch(dense)
-        centered = dense - dense.mean(axis=-1, keepdims=True)
         vecs = None
         # sample by sample: one embed of the whole batch multiplies the
         # temporaries of deep's second layer (+90 MB peak RSS on that workload)
-        for i in range(dense.shape[0]):
-            vec = embed(self.embedding, centered[i]).ravel()
+        for i, sample in enumerate(dense):
+            vec = embed(self.embedding, sample - sample.mean(axis=-1, keepdims=True)).ravel()
             if vecs is None:
                 vecs = np.empty((dense.shape[0], vec.size), dtype=vec.dtype)
             vecs[i] = vec
@@ -135,10 +135,22 @@ class Pseudometric:
         return float(np.linalg.norm(va - vb))
 
     def pairwise(self, dense: np.ndarray) -> np.ndarray:
-        """Full symmetric distance matrix over a batch of samples."""
+        """Full symmetric distance matrix over a batch of samples.
+
+        A complex embedding is conjugated ``BLOCK`` samples at a time, each
+        block giving those samples' columns of the Gram matrix, so no
+        conjugate of the whole batch is made."""
         vecs = self.prepare_batch(dense)
-        sq = np.sum((vecs * vecs.conj()).real, axis=1)
-        gram = (vecs @ vecs.conj().T).real
+        if np.iscomplexobj(vecs):
+            sq = np.empty(vecs.shape[0])
+            gram = np.empty((vecs.shape[0], vecs.shape[0]))
+            for lo in range(0, vecs.shape[0], BLOCK):
+                conj = vecs[lo: lo + BLOCK].conj()
+                sq[lo: lo + BLOCK] = np.sum((vecs[lo: lo + BLOCK] * conj).real, axis=1)
+                gram[:, lo: lo + BLOCK] = (vecs @ conj.T).real
+        else:
+            sq = np.sum(vecs * vecs, axis=1)
+            gram = vecs @ vecs.T
         d2 = sq[:, None] + sq[None, :] - 2.0 * gram
         np.maximum(d2, 0.0, out=d2)
         dist = np.sqrt(d2)

@@ -65,6 +65,7 @@ class RunReport:
     condition_bounds: list = field(default_factory=list)
     n_windows: dict = field(default_factory=dict)
     subbatch_capped: bool = False
+    test_predictions: np.ndarray | None = None         # (windows, d_out, H) on the test split
 
 
 def report_lines(report: RunReport) -> list:
@@ -122,16 +123,31 @@ def _candidate_metrics(cfg: SswimConfig, lift: VanRossumLift | None):
 
 
 def _collect_split_spikes(layers, dataset: ForecastDataset, starts,
-                          batch_size: int, total_steps: int) -> list:
+                          batch_size: int, total_steps: int, simulated=None) -> list:
     """Simulate the hidden stack over a split once; cache (mask, targets)
     per batch so the normal equations, diagnostics and predictions all
-    reuse the same spikes."""
+    reuse the same spikes.
+
+    ``simulated`` is None or (rows, masks): the sorted positions in
+    ``starts`` of windows whose last-layer masks are known already, and
+    those masks. They are placed at their rows and not simulated again; a
+    window's spikes do not depend on the batch it was simulated in."""
+    row_of = np.full(len(starts), -1)
+    if simulated is not None:
+        known_rows, known = simulated
+        row_of[known_rows] = np.arange(len(known_rows))
     cached = []
     for lo in range(0, len(starts), batch_size):
         chunk = starts[lo: lo + batch_size]
-        dense = _pad_inputs(dataset.input_batch(chunk), total_steps)
-        masks = simulate_hidden_stack(layers, dense, batch_size)[-1]
-        cached.append((masks, dataset.target_batch(chunk)))
+        rows = row_of[lo: lo + batch_size]
+        new = rows < 0
+        mask = np.empty((len(chunk), layers[-1].n_neurons, total_steps), dtype=bool)
+        if new.any():
+            dense = _pad_inputs(dataset.input_batch(chunk[new]), total_steps)
+            mask[new] = simulate_hidden_stack(layers, dense)[-1]
+        if not new.all():
+            mask[~new] = known[rows[~new]]
+        cached.append((mask, dataset.target_batch(chunk)))
     return cached
 
 
@@ -144,7 +160,7 @@ def predict_batch(model: SnnModel, inputs: np.ndarray,
     preds = []
     for lo in range(0, inputs.shape[0], batch_size):
         dense = _pad_inputs(inputs[lo: lo + batch_size], grid.total_steps)
-        masks = simulate_hidden_stack(model.layers[:-1], dense, batch_size)
+        masks = simulate_hidden_stack(model.layers[:-1], dense)
         spikes = masks[-1] if masks else dense
         preds.append(output_voltages_batch(model.layers[-1], spikes, grid.window))
     return np.concatenate(preds, axis=0)
@@ -228,7 +244,7 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
                 chunk=cfg.batch_size,
             )
             hidden_layers.append(layer)
-            masks_xi = simulate_hidden_stack([layer], latents, cfg.batch_size)[0]
+            masks_xi = simulate_hidden_stack([layer], latents)[0]
         del latents   # the last layer's float input: dead from here on
         report.spike_counts = masks_xi.sum(axis=(0, 2)).astype(np.int64)
 
@@ -242,7 +258,8 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
 
     with _phase("weights", timings):
         train_cache = _collect_split_spikes(
-            hidden_layers, dataset, train_starts, cfg.batch_size, total_steps
+            hidden_layers, dataset, train_starts, cfg.batch_size, total_steps,
+            simulated=(pick, masks_xi),
         )
         train_ne = accumulate_normal_equations(
             iter(train_cache), delays.per_neuron, supports, output_pspk
@@ -300,8 +317,12 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
                 )
                 targets = np.concatenate([t for _, t in cache])
                 report.rse[split] = rse(preds, targets)
-        if len(dataset.starts["test"]):
-            report.rse["test"] = evaluate_split(model, dataset, "test", cfg.batch_size)
+        test_starts = dataset.starts["test"]
+        if len(test_starts):
+            report.test_predictions = predict_batch(
+                model, dataset.input_batch(test_starts), cfg.batch_size
+            )
+            report.rse["test"] = rse(report.test_predictions, dataset.target_batch(test_starts))
 
     report.total_seconds = time.perf_counter() - t_start
     return model, report

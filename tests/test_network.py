@@ -2,6 +2,8 @@ import json
 import math
 import multiprocessing
 import os
+import sys
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from sswim import network
 from sswim.kernels import KernelFamily, PlacedKernel, pspk, rfk, tap_span
 from sswim.network import (
+    BLOCK,
     THRESHOLD,
     GridSpec,
     LayerParams,
@@ -216,11 +219,16 @@ def reference_simulate(layer, dense_in):
     return spiked, volt
 
 
-def reference_stack(layers, dense, chunk):
+def reference_stack(layers, dense):
+    """Each layer simulated by the reference on blocks of BLOCK samples, the
+    last one zero-padded."""
+    n_samples = dense.shape[0]
     masks = []
     for layer in layers:
-        mask = np.concatenate([reference_simulate(layer, dense[lo: lo + chunk])[0]
-                               for lo in range(0, dense.shape[0], chunk)])
+        padded = np.zeros((-(-n_samples // BLOCK) * BLOCK,) + dense.shape[1:])
+        padded[:n_samples] = dense
+        mask = np.concatenate([reference_simulate(layer, padded[lo: lo + BLOCK])[0]
+                               for lo in range(0, len(padded), BLOCK)])[:n_samples]
         masks.append(mask)
         dense = mask.astype(float)
     return masks
@@ -246,12 +254,12 @@ def random_hidden_layer(rng, n_neurons, n_inputs, family, input_scale=1.0, step=
 class TestSimulatorMatchesReference:
     N_SAMPLES, N_NEURONS, N_STEPS = 5, 9, 37   # all distinct, to pin the axis order
 
-    def setup(self, family, step, seed=0):
+    def setup(self, family, step, seed=0, n_samples=N_SAMPLES):
         rng = np.random.default_rng(seed)
         layers = [random_hidden_layer(rng, self.N_NEURONS, 3, family, step=step),
                   random_hidden_layer(rng, 6, self.N_NEURONS, family, input_scale=0.6,
                                       step=step)]
-        dense = rng.normal(size=(self.N_SAMPLES, 3, self.N_STEPS))
+        dense = rng.normal(size=(n_samples, 3, self.N_STEPS))
         return layers, dense
 
     @pytest.mark.parametrize("family", list(KernelFamily))
@@ -274,11 +282,11 @@ class TestSimulatorMatchesReference:
         assert 1 <= taps.shape[1]
 
     @pytest.mark.parametrize("family", list(KernelFamily))
-    @pytest.mark.parametrize("chunk", [2, 5])
-    def test_stack_masks_are_bit_identical(self, family, chunk):
-        layers, dense = self.setup(family, 1.0, seed=1)
-        masks = simulate_hidden_stack(layers, dense, chunk)
-        expected = reference_stack(layers, dense, chunk)
+    @pytest.mark.parametrize("n_samples", [2, 5, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_stack_masks_are_bit_identical(self, family, n_samples):
+        layers, dense = self.setup(family, 1.0, seed=1, n_samples=n_samples)
+        masks = simulate_hidden_stack(layers, dense)
+        expected = reference_stack(layers, dense)
         assert [m.shape for m in masks] == [m.shape for m in expected]
         for mask, ref in zip(masks, expected):
             assert mask.tobytes() == ref.tobytes()
@@ -348,6 +356,66 @@ class TestSimulatorProperties:
             spiked_1, volt_1 = simulate_hidden_batch(layer, dense[m: m + 1])
             np.testing.assert_array_equal(spiked_1[0], spiked[m])
             np.testing.assert_allclose(volt_1[0], volt[m], rtol=0, atol=1e-12)
+
+
+@st.composite
+def two_layer_cases(draw):
+    """A two-layer model with delays and supports drawn in unit or half
+    steps, and 1, BLOCK - 1, BLOCK or BLOCK + 1 input windows."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    step = draw(st.sampled_from([1.0, 0.5]))
+    family = draw(st.sampled_from(list(KernelFamily)))
+    obs, horizon = draw(st.integers(2, 30)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(seed)
+    first = random_hidden_layer(rng, draw(st.integers(1, 7)), 2, family, step=step)
+    second = random_hidden_layer(rng, draw(st.integers(1, 7)), first.n_neurons, family,
+                                 input_scale=0.6, step=step)
+    out = output_layer(rng.normal(size=(2, second.n_neurons)), rng.normal(size=2),
+                       delay=rng.uniform(0.0, 4.0, 2) / step,
+                       support=rng.uniform(1.0, 9.0, 2) / step, family=family)
+    model = SnnModel(layers=[first, second, out], d_in=2, d_out=2,
+                     grid=GridSpec(total_steps=obs + horizon, horizon=horizon))
+    n_windows = draw(st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1]))
+    return model, rng.normal(size=(n_windows, 2, obs))
+
+
+class TestBatchIndependence:
+    """Every conv product of the forward pass has BLOCK rows, so a window's
+    spikes and prediction do not depend on the batch it comes in."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=two_layer_cases())
+    def test_any_batch_size_gives_the_same_bytes(self, case):
+        model, inputs = case
+        n_windows = inputs.shape[0]
+        dense = np.zeros(inputs.shape[:2] + (model.grid.total_steps,))
+        dense[:, :, : inputs.shape[2]] = inputs
+        whole = predict_batch(model, inputs, batch_size=n_windows).tobytes()
+        masks = [m.tobytes() for m in simulate_hidden_stack(model.layers[:-1], dense)]
+        for batch_size in (1, 2, 3, 17, n_windows):
+            assert predict_batch(model, inputs, batch_size=batch_size).tobytes() == whole
+            parts = [simulate_hidden_stack(model.layers[:-1], dense[lo: lo + batch_size])
+                     for lo in range(0, n_windows, batch_size)]
+            assert [np.concatenate(layer).tobytes() for layer in zip(*parts)] == masks
+
+    def test_predict_batch_peak_stays_below_one_float_batch(self, monkeypatch):
+        # the float buffers of the forward pass hold one block per thread
+        monkeypatch.setattr(network, "available_cpus", lambda: 2)
+        monkeypatch.setattr(network, "_MIN_SLICE", 1)
+        rng = np.random.default_rng(12)
+        hidden = random_hidden_layer(rng, 40, 3, KernelFamily.HAT)
+        out = output_layer(rng.normal(size=(3, 40)), rng.normal(size=3), delay=1.0, support=6.0)
+        model = SnnModel(layers=[hidden, out], d_in=3, d_out=3,
+                         grid=GridSpec(total_steps=50, horizon=10))
+        inputs = rng.normal(size=(512, 3, 40))
+        tracemalloc.start()
+        try:
+            pred = predict_batch(model, inputs, batch_size=512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pred.shape == (512, 3, 10)
+        assert peak < 512 * 40 * 50 * np.dtype(float).itemsize
 
 
 class TestOutputVoltages:
@@ -425,7 +493,7 @@ class TestForward:
                          grid=GridSpec(total_steps=20, horizon=5))
         pred = predict_batch(model, np.zeros((1, 2, 15)))
         np.testing.assert_allclose(pred, 0.25)
-        hidden = simulate_hidden_stack(model.layers[:-1], np.zeros((1, 2, 20)), 1)
+        hidden = simulate_hidden_stack(model.layers[:-1], np.zeros((1, 2, 20)))
         assert len(hidden) == 1
         assert hidden[0].all()
 
@@ -478,7 +546,7 @@ def split_outputs(model, inputs):
     dense = np.zeros(inputs.shape[:2] + (model.grid.total_steps,))
     dense[:, :, :inputs.shape[2]] = inputs
     spiked, volt = simulate_hidden_batch(model.layers[0], dense)
-    masks = simulate_hidden_stack(model.layers[:-1], dense, 4)
+    masks = simulate_hidden_stack(model.layers[:-1], dense)
     readout = output_voltages_batch(model.layers[-1], masks[-1].astype(float),
                                     model.grid.window)
     return [spiked.tobytes(), volt.tobytes(), *(m.tobytes() for m in masks),
@@ -501,6 +569,23 @@ class TestSplitForwardPass:
         assert split_outputs(model, inputs) == serial
         spiked = np.frombuffer(serial[0], dtype=bool)
         assert 0 < spiked.mean() < 1
+
+    @pytest.mark.parametrize("workers", [2, 3, 7])
+    def test_blocks_split_over_any_worker_count_give_the_same_bits(self, monkeypatch,
+                                                                  workers):
+        monkeypatch.setattr(network, "_MIN_SLICE", 1)
+        model, _ = split_case()
+        inputs = np.random.default_rng(8).normal(size=(3 * BLOCK + 5, 3, 26))
+        monkeypatch.setattr(network, "available_cpus", lambda: 1)
+        serial = split_outputs(model, inputs)
+        monkeypatch.setattr(network, "available_cpus", lambda: workers)
+        # threads switch often, so that workers that shared a buffer would clash
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert split_outputs(model, inputs) == serial
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_ranges_cover_the_axis(self, monkeypatch):
         monkeypatch.setattr(network, "available_cpus", lambda: 3)
@@ -530,6 +615,14 @@ class TestSplitForwardPass:
                              rf_support=1.0)
         with pytest.raises(ValueError):
             hidden_drive_batch(layer, np.ones((4, 3, 8)))
+
+    def test_worker_error_in_the_stack_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(network, "available_cpus", lambda: 2)
+        monkeypatch.setattr(network, "_MIN_SLICE", 1)
+        layer = hidden_layer([[1.0, 2.0]], 0.0, delay=0.0, support=2.0, cost=0.0,
+                             rf_support=1.0)
+        with pytest.raises(ValueError):
+            simulate_hidden_stack([layer], np.ones((2 * BLOCK, 3, 8)))
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_runs_a_forward_pass(self, monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from sswim import ModelArch, SswimConfig, make_windows, network, output, synth_dataset, train_sswim
 from sswim.errors import LambdaSearchError, PipelineError, SilentNetworkError
 from sswim.kernels import KernelFamily, PlacedKernel, pspk
+from sswim.network import BLOCK, kernel_conv_matrix
 from sswim.output import (
     DelayEstimate,
     GramAccumulator,
@@ -531,6 +532,26 @@ class TestAssembleDesignBuffer:
         combs = np.zeros((5, 4, 24))
         with pytest.raises(ValueError, match="out must be"):
             assemble_design(combs, PlacedKernel(HAT, 2.0, 5.0), (16, 24), out=buffer)
+
+
+    def test_blocks_of_a_boolean_mask_give_the_whole_cast_design(self):
+        rng = np.random.default_rng(62)
+        mask = rng.random((2 * BLOCK + 3, 4, 24)) < 0.2
+        pk = PlacedKernel(HAT, 2.0, 5.0)
+        k = np.asfortranarray(kernel_conv_matrix(pk, 24)[16:24])
+        expected = np.empty((mask.shape[0], 8, 5))
+        expected[..., 0] = 1.0
+        np.matmul(k, mask.astype(float).transpose(0, 2, 1), out=expected[..., 1:])
+        scratch = np.empty(BLOCK * 4 * 24)
+        design = assemble_design(mask, pk, (16, 24), scratch=scratch)
+        assert design.tobytes() == expected.reshape(-1, 5).tobytes()
+
+    @pytest.mark.parametrize("scratch", [np.empty(BLOCK * 4 * 24 - 1),
+                                         np.empty(BLOCK * 4 * 24, dtype=np.float32)])
+    def test_unfit_scratch_rejected(self, scratch):
+        mask = np.zeros((BLOCK, 4, 24), dtype=bool)
+        with pytest.raises(ValueError, match="scratch must be"):
+            assemble_design(mask, PlacedKernel(HAT, 2.0, 5.0), (16, 24), scratch=scratch)
 
 
 def split_fit_case():

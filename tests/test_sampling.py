@@ -125,6 +125,36 @@ class TestPseudometricValues:
                     )
 
 
+def reference_pairwise(vecs):
+    """The distance matrix formed from the whole batch's conjugate."""
+    sq = np.sum((vecs * vecs.conj()).real, axis=1)
+    gram = (vecs @ vecs.conj().T).real
+    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
+    np.maximum(d2, 0.0, out=d2)
+    dist = np.tril(np.sqrt(d2), -1)
+    return dist + dist.T
+
+
+class TestPairwiseBlocks:
+    @pytest.mark.parametrize("n_samples", [1, 31, 33, 200])
+    @pytest.mark.parametrize("spec", [EmbeddingSpec("l2"), EmbeddingSpec("mag"),
+                                      EmbeddingSpec("phase")], ids=lambda s: s.name)
+    def test_matrix_equals_the_whole_batch_formula(self, spec, n_samples):
+        batch = random_batch(np.random.default_rng(n_samples), n_samples, steps=40)
+        metric = Pseudometric(spec)
+        vecs = metric.prepare_batch(batch)
+        assert np.iscomplexobj(vecs) == (spec.kind == "phase")
+        assert metric.pairwise(batch).tobytes() == reference_pairwise(vecs).tobytes()
+
+    def test_each_sample_is_centered_alone(self):
+        batch = random_batch(np.random.default_rng(7), 6)
+        centered = batch - batch.mean(axis=-1, keepdims=True)
+        for spec in ALL_EMBEDDINGS:
+            vecs = Pseudometric(spec).prepare_batch(batch)
+            expected = np.stack([embed(spec, c).ravel() for c in centered])
+            assert vecs.tobytes() == expected.tobytes()
+
+
 class TestPseudometricAxioms:
     @pytest.mark.parametrize("spec", ALL_EMBEDDINGS, ids=lambda s: s.name)
     def test_axioms_on_random_triples(self, spec):
