@@ -9,22 +9,19 @@ Each hidden layer is built without gradients in four moves:
    that either maximizes the separation of the pair's voltage traces or
    minimizes their overlap;
 3. the expected temporal mean/std of the resulting voltage over the
-   initialization batch is measured in one streaming pass;
+   initialization batch is measured in one pass;
 4. scale and bias are solved so the voltage statistics hit their targets,
    with a bias bump ("silence correction") guaranteeing that the peak
    voltage reaches the firing threshold at least once.
 
 Given its draw, a neuron depends on no other, so moves 2-4 run on every
 available CPU through ``network._split_run``, one contiguous range of
-neurons per thread. The random stream stays serial: the calling thread
-makes every neuron's first draw in neuron order before any thread starts,
-and a neuron that must be retried sends the layer from it onwards back to
-the serial loop, with the stream rewound to its draw. Each thread writes
-the pair's responses, the criterion matrix and the statistics pass's
-blocks into buffers the caller allocated for it; a thread that allocated
-them would get a malloc arena of its own and keep its memory (only
-``eigh`` still allocates). Every product is the one the serial loop makes,
-so layers, and model files, are bit for bit the same on any CPU count.
+neurons per thread, each with its own ``_NeuronScratch``. The random
+stream stays serial: the calling thread makes every neuron's first draw in
+neuron order before any thread starts, and a neuron that must be retried
+sends the layer from it onwards back to the serial loop, with the stream
+rewound to its draw. Every product is the one the serial loop makes, so
+layers, and model files, are bit for bit the same on any CPU count.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ import numpy as np
 
 from .errors import DegenerateNeuronError, TrivialPairError
 from .kernels import KernelSpec
-from .network import LayerParams, _split_ranges, _split_run, kernel_conv_stack
+from .network import LayerParams, _split_run, kernel_conv_stack
 from .sampling import PairProbabilities, sample_pair
 
 STD_FLOOR = 1e-12
@@ -139,7 +136,7 @@ def weight_random(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# voltage statistics (single pass)
+# voltage statistics
 
 
 @dataclass
@@ -152,47 +149,28 @@ class VoltageStats:
     n_samples: int = 0
 
 
-class VoltageStatsAccumulator:
-    """Streams per-sample voltage traces; memory independent of sample count.
+def voltage_stats(traces: np.ndarray, scratch: np.ndarray | None = None) -> VoltageStats:
+    """Statistics of one trace (steps,) or a batch (samples, steps).
 
-    Per-sample temporal variance is computed on the (in-memory) trace after
-    subtracting its own mean, so large common offsets do not cancel
-    catastrophically; across samples only O(1)-magnitude aggregates are
-    summed.
+    Each sample's temporal variance is computed after subtracting its own
+    mean, so large common offsets do not cancel catastrophically; across
+    samples only running means of O(1)-magnitude aggregates are kept.
+    ``scratch``, an optional array of the batch's shape, receives the
+    squared deviations in place of a temporary.
     """
-
-    def __init__(self):
-        self._n = 0
-        self._mean_of_means = 0.0
-        self._mean_of_stds = 0.0
-        self._peak = -np.inf
-
-    def add_trace(self, trace: np.ndarray, scratch: np.ndarray | None = None) -> None:
-        """Add one trace (steps,) or a block (samples, steps); ``scratch``,
-        an optional array of the block's shape, receives the squared
-        deviations in place of a temporary."""
-        trace = np.asarray(trace, dtype=float)
-        if trace.ndim == 1:
-            trace = trace[None, :]
-        means = trace.mean(axis=1)
-        dev = np.subtract(trace, means[:, None], out=scratch)
-        np.square(dev, out=dev)
-        stds = np.sqrt(dev.mean(axis=1))
-        for m, s in zip(means, stds):
-            self._n += 1
-            self._mean_of_means += (m - self._mean_of_means) / self._n
-            self._mean_of_stds += (s - self._mean_of_stds) / self._n
-        self._peak = max(self._peak, float(trace.max()))
-
-    def result(self) -> VoltageStats:
-        if self._n == 0:
-            raise ValueError("no traces were accumulated")
-        return VoltageStats(
-            mean=self._mean_of_means,
-            std=self._mean_of_stds,
-            peak=self._peak,
-            n_samples=self._n,
-        )
+    traces = np.atleast_2d(np.asarray(traces, dtype=float))
+    if traces.shape[0] == 0:
+        raise ValueError("no traces were given")
+    means = traces.mean(axis=1)
+    dev = np.subtract(traces, means[:, None], out=scratch)
+    np.square(dev, out=dev)
+    stds = np.sqrt(dev.mean(axis=1))
+    mean_of_means = mean_of_stds = 0.0
+    for n, (m, s) in enumerate(zip(means.tolist(), stds.tolist()), start=1):
+        mean_of_means += (m - mean_of_means) / n
+        mean_of_stds += (s - mean_of_stds) / n
+    return VoltageStats(mean=mean_of_means, std=mean_of_stds, peak=float(traces.max()),
+                        n_samples=len(means))
 
 
 # ---------------------------------------------------------------------------
@@ -255,29 +233,29 @@ class _NeuronScratch:
     psi: np.ndarray     # (2, inputs, steps): the pair's responses
     work: np.ndarray    # the criterion's intermediate, flat
     crit: np.ndarray    # (inputs, inputs): the criterion matrix
-    drive: np.ndarray   # (chunk, steps): a block's weighted input sum
-    trace: np.ndarray   # (chunk, steps): a block's voltage traces
+    drive: np.ndarray   # (samples, steps): the weighted input sums
+    trace: np.ndarray   # (samples, steps): the voltage traces
 
     @classmethod
-    def allocate(cls, n_prev: int, n_steps: int, chunk: int) -> "_NeuronScratch":
+    def allocate(cls, n_samples: int, n_prev: int, n_steps: int) -> "_NeuronScratch":
         return cls(
             psi=np.empty((2, n_prev, n_steps)),
             work=np.empty(n_prev * max(n_prev, n_steps)),
             crit=np.empty((n_prev, n_prev)),
-            drive=np.empty((chunk, n_steps)),
-            trace=np.empty((chunk, n_steps)),
+            drive=np.empty((n_samples, n_steps)),
+            trace=np.empty((n_samples, n_steps)),
         )
 
 
 def _solve_neuron(drawn, latents: np.ndarray, conv: np.ndarray, cfg,
-                  scratch: _NeuronScratch, chunk: int):
+                  scratch: _NeuronScratch):
     """Unit weight direction and normalization of one neuron from its draw:
     a sample pair, or for the random criterion the direction itself.
 
     Raises TrivialPairError or DegenerateNeuronError when the draw gives no
     usable neuron, for the caller to retry with a fresh one.
     """
-    n_samples, n_prev, n_steps = latents.shape
+    n_prev, n_steps = latents.shape[1:]
     if cfg.weight_criterion == "random":
         w_dir = drawn
     else:
@@ -290,13 +268,9 @@ def _solve_neuron(drawn, latents: np.ndarray, conv: np.ndarray, cfg,
         else:
             work = scratch.work[: n_prev * n_prev].reshape(n_prev, n_prev)
             w_dir = weight_dot(psi1, psi2, scratch.crit, work)
-    acc = VoltageStatsAccumulator()
-    for lo in range(0, n_samples, chunk):
-        block = latents[lo: lo + chunk]
-        drive = np.einsum("p,mpg->mg", w_dir, block, out=scratch.drive[: len(block)])
-        traces = np.matmul(drive, conv.T, out=scratch.trace[: len(block)])
-        acc.add_trace(traces, scratch=drive)
-    stats = acc.result()
+    drive = np.einsum("p,mpg->mg", w_dir, latents, out=scratch.drive)
+    traces = np.matmul(drive, conv.T, out=scratch.trace)
+    stats = voltage_stats(traces, scratch=drive)
     if cfg.normalizer == "ms":
         return w_dir, normalize_ms(stats, cfg.mu_target, cfg.std_target, cfg.sc_epsilon)
     return w_dir, normalize_fl(stats, cfg.z_target, cfg.sc_epsilon)
@@ -306,8 +280,7 @@ def build_hidden_layer(layer_index: int, n_layers: int, n_neurons: int,
                        pspk_spec: KernelSpec, rfk_spec: KernelSpec,
                        latents: np.ndarray, obs_len: int, horizon: int,
                        pairs: PairProbabilities | None,
-                       cfg, rng: np.random.Generator,
-                       chunk: int = 256) -> tuple[LayerParams, dict]:
+                       cfg, rng: np.random.Generator) -> tuple[LayerParams, dict]:
     """Assemble one hidden layer over the initialization batch.
 
     ``latents`` is the dense (samples, channels, steps) output of the
@@ -345,7 +318,6 @@ def build_hidden_layer(layer_index: int, n_layers: int, n_neurons: int,
     cost = np.empty(n_neurons)
     chosen_pairs = [None] * n_neurons
     convs = kernel_conv_stack(pspk_spec, assign.delay, assign.support, n_steps)
-    chunk = min(chunk, n_samples)
 
     def draw():
         if cfg.weight_criterion == "random":
@@ -353,7 +325,7 @@ def build_hidden_layer(layer_index: int, n_layers: int, n_neurons: int,
         return sample_pair(pairs, rng)
 
     def settle(i, drawn, scratch):
-        w_dir, norm = _solve_neuron(drawn, latents, convs[i], cfg, scratch, chunk)
+        w_dir, norm = _solve_neuron(drawn, latents, convs[i], cfg, scratch)
         weights[i] = norm.scale * w_dir
         bias[i] = norm.bias
         cost[i] = norm.cost_value / q0
@@ -365,31 +337,33 @@ def build_hidden_layer(layer_index: int, n_layers: int, n_neurons: int,
         states.append(rng.bit_generator.state)
         draws.append(draw())
 
+    def allocate():
+        return _NeuronScratch.allocate(n_samples, n_prev, n_steps)
+
+    failed = []
+
+    def solve(lo, hi, scratch):
+        for i in range(lo, hi):
+            try:
+                settle(i, draws[i], scratch)
+            except (TrivialPairError, DegenerateNeuronError):
+                failed.append(i)
+                return
+
     # Counted: the criterion's (inputs, steps) x (steps, inputs) products.
     # The rest of a neuron's work (many small numpy calls, the statistics'
     # per-sample loop) mostly holds the GIL: on 2 vCPUs a 4-input,
     # 250-neuron layer over 60 or 200 samples built 1.1-1.4x slower on two
     # threads than on one.
-    ranges = _split_ranges(n_neurons, n_neurons * n_prev * n_prev * n_steps)
-    scratches = {lo: _NeuronScratch.allocate(n_prev, n_steps, chunk) for lo, _ in ranges}
-    failed = []
-
-    def solve(lo, hi):
-        for i in range(lo, hi):
-            try:
-                settle(i, draws[i], scratches[lo])
-            except (TrivialPairError, DegenerateNeuronError):
-                failed.append(i)
-                return
-
-    _split_run(solve, ranges)
+    _split_run(solve, n_neurons, n_neurons * n_prev * n_prev * n_steps, allocate)
     if failed:
         first = min(failed)
         rng.bit_generator.state = states[first]
+        scratch = allocate()
         for i in range(first, n_neurons):
             for attempt in range(cfg.max_retries + 1):
                 try:
-                    settle(i, draw(), scratches[0])
+                    settle(i, draw(), scratch)
                     break
                 except (TrivialPairError, DegenerateNeuronError):
                     if attempt == cfg.max_retries:

@@ -36,22 +36,15 @@ window rows of its conv stack, is then applied to its own trace. That is
 the design row of the output fit (``output.assemble_design``) times the
 weights, up to rounding.
 
-The hidden layers, the hidden-layer build (``hidden.build_hidden_layer``,
-split by neuron after its random draws are made on the calling thread)
+The hidden layers, the hidden-layer build (``hidden.build_hidden_layer``)
 and the output fit (``output.select_supports`` and
-``output.accumulate_normal_equations``) run on every available CPU.
-``_split_run`` cuts an axis into one contiguous range per CPU, when the
-work is large enough to pay for the threads, and runs plain numpy on each
-range on a thread of its own (numpy and BLAS release the GIL). The forward
-pass splits once per ``simulate_hidden_stack`` call, by block: each thread
-runs its range of blocks one at a time through every layer, so one
-thread's BLAS products overlap another's step loop. A block's BLAS calls,
-one gemm per sample or per neuron, are the same on any thread, so
-predictions do not depend on the CPU count. The caller allocates every
-large array a worker writes, scratch included: a worker that allocated
-would get its own malloc arena and hold its memory. A worker starts no
-threads of its own, and the threads end with the call, so a forked child
-inherits none.
+``output.accumulate_normal_equations``) run on every available CPU through
+``_split_run``, which alone starts threads and allocates their buffers.
+The forward pass splits once per ``simulate_hidden_stack`` call, by block:
+each thread runs its range of blocks one at a time through every layer, so
+one thread's BLAS products overlap another's step loop. A block's BLAS
+calls, one gemm per sample or per neuron, are the same on any thread, so
+predictions do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -208,14 +201,24 @@ def _split_ranges(n: int, size: int) -> list:
     return list(zip(bounds, bounds[1:]))
 
 
-def _split_run(fn, ranges) -> None:
-    """Call ``fn(lo, hi)`` for every range: inline for one range, else on one
-    thread per range, returning when all are done and raising the first error."""
-    if len(ranges) == 1:
-        fn(*ranges[0])
+def _split_run(fn, n: int, size: int, allocate) -> None:
+    """Cut ``range(n)`` by ``_split_ranges(n, size)`` and call
+    ``fn(lo, hi, buffers)`` for every range: inline for one range, else on
+    one thread per range, returning when all are done and raising the first
+    error. ``buffers = allocate()`` is made for each range on the calling
+    thread before any thread starts.
+
+    Every large array a worker writes, scratch included, comes from
+    ``allocate``: a worker that allocated its own would get a malloc arena
+    of its own and keep that memory. ``fn`` starts no threads, and the
+    threads end with the call, so a forked child inherits none.
+    """
+    jobs = [(lo, hi, allocate()) for lo, hi in _split_ranges(n, size)]
+    if len(jobs) == 1:
+        fn(*jobs[0])
         return
-    with ThreadPoolExecutor(len(ranges)) as pool:
-        futures = [pool.submit(fn, lo, hi) for lo, hi in ranges]
+    with ThreadPoolExecutor(len(jobs)) as pool:
+        futures = [pool.submit(fn, *job) for job in jobs]
     for fut in futures:
         fut.result()
 
@@ -375,9 +378,9 @@ def simulate_hidden_stack(layers, dense_in: np.ndarray) -> list:
     The samples run in blocks of ``BLOCK``, each block through every layer
     before the next starts, and the last block is zero-padded to full size,
     so a window's spikes do not depend on the batch it comes in. Each
-    layer's conv stack is built once per call. The blocks are cut into one
-    contiguous range per thread, and each thread runs its blocks one at a
-    time in buffers allocated for it here.
+    layer's conv stack is built once per call. The blocks are split over
+    threads by ``_split_run``, and each thread runs its blocks one at a time
+    in its own ``_BlockScratch``.
     """
     if not layers:
         return []
@@ -387,12 +390,8 @@ def simulate_hidden_stack(layers, dense_in: np.ndarray) -> list:
               for layer in layers]
     widths = [dense_in.shape[1]] + [layer.n_neurons for layer in layers]
     n_blocks = -(-n_samples // BLOCK)
-    ranges = _split_ranges(n_blocks, n_blocks * BLOCK * sum(widths[1:]) * n_steps)
-    scratches = {lo: _BlockScratch.allocate(max(widths[:-1]), max(widths[1:]), n_steps)
-                 for lo, _ in ranges}
 
-    def run(lo, hi):
-        scratch = scratches[lo]
+    def run(lo, hi, scratch):
         for b in range(lo, hi):
             first, last = b * BLOCK, min(n_samples, (b + 1) * BLOCK)
             block = dense_in[first: last]
@@ -407,7 +406,8 @@ def simulate_hidden_stack(layers, dense_in: np.ndarray) -> list:
                     block = _leading(scratch.inputs, spiked.shape)
                     np.copyto(block, spiked)
 
-    _split_run(run, ranges)
+    _split_run(run, n_blocks, n_blocks * BLOCK * sum(widths[1:]) * n_steps,
+               lambda: _BlockScratch.allocate(max(widths[:-1]), max(widths[1:]), n_steps))
     return masks
 
 

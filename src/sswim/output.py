@@ -22,13 +22,12 @@ Every design is built from the boolean mask, cast to float
 copy of a whole mask is made; each sample's product is the one a whole
 float copy would give.
 
-The support search and the normal equations run on every available CPU
-through ``network._split_run``: each thread scores one contiguous range of
-support candidates, or accumulates one range of (delay, support) groups,
-into a design buffer and a cast scratch the caller allocated for it. Each
-candidate's and each group's BLAS calls, and the order in which a group
-sums its batches, are those of the serial loop, so residuals, Gram
-matrices and model files are bit for bit the same on any CPU count.
+The support search and the normal equations run through one design loop,
+``_over_designs``, which splits the (delay, support) keys, support
+candidates or groups, over threads with ``network._split_run``. Each key's
+BLAS calls, and the order in which a group sums its batches, are those of
+a serial loop, so residuals, Gram matrices and model files are bit for bit
+the same on any CPU count.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EigensolverError, LambdaSearchError, SilentNetworkError
 from .kernels import KernelSpec, PlacedKernel, kernel_peak_offset
-from .network import BLOCK, _leading, _split_ranges, _split_run, kernel_conv_matrix
+from .network import BLOCK, _leading, _split_run, kernel_conv_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +178,33 @@ def _stack_targets(targets: np.ndarray) -> np.ndarray:
     return targets.transpose(0, 2, 1).reshape(-1, targets.shape[1])
 
 
+def _over_designs(batches: list, keys: list, pspk_spec: KernelSpec, fn) -> None:
+    """Call ``fn(k, design, stacked_targets, n_samples)`` for every
+    (delay, support) pair ``keys[k]`` and every (mask, targets) batch of
+    ``batches``, in batch order for each key.
+
+    The keys are split over threads; each thread assembles its designs
+    into one design buffer and one cast scratch, both sized for the largest
+    batch.
+    """
+    windows = [_target_window(mask, targets) for mask, targets in batches]
+    stacked = [_stack_targets(targets) for _, targets in batches]
+    largest = max((mask for mask, _ in batches), key=len)
+    n_features = largest.shape[1] + 1
+    n_rows = max(len(y) for y in stacked)
+
+    def run(lo, hi, buffers):
+        design_buf, scratch = buffers
+        for k in range(lo, hi):
+            pk = PlacedKernel(pspk_spec, *keys[k])
+            for (mask, _), window, y in zip(batches, windows, stacked):
+                design = assemble_design(mask, pk, window, out=design_buf, scratch=scratch)
+                fn(k, design, y, mask.shape[0])
+
+    _split_run(run, len(keys), len(keys) * sum(len(y) for y in stacked) * n_features,
+               lambda: (np.empty(n_rows * n_features), _cast_scratch(largest)))
+
+
 def projection_residuals(design: np.ndarray, stacked_targets: np.ndarray) -> np.ndarray:
     """Least-squares residual ||y - A c||^2 per target column.
 
@@ -221,21 +247,15 @@ def select_supports(mask: np.ndarray, targets: np.ndarray, delays: DelayEstimate
     ||y||^2, the rounding error of a residual computed from a design of
     that shape.
     """
-    window = _target_window(mask, targets)
+    residuals = np.empty((candidates.count, targets.shape[1]))
+    keys = [(delays.aggregate, float(value)) for value in candidates.values]
+
+    def score(c, design, stacked, n_samples):
+        residuals[c] = projection_residuals(design, stacked)
+
+    _over_designs([(mask, targets)], keys, pspk_spec, score)
     stacked = _stack_targets(targets)
     n_rows, n_features = stacked.shape[0], mask.shape[1] + 1
-    residuals = np.empty((candidates.count, targets.shape[1]))
-    ranges = _split_ranges(candidates.count, candidates.count * n_rows * n_features)
-    designs = {lo: np.empty(n_rows * n_features) for lo, _ in ranges}
-    scratches = {lo: _cast_scratch(mask) for lo, _ in ranges}
-
-    def score(lo, hi):
-        for c in range(lo, hi):
-            pk = PlacedKernel(pspk_spec, delays.aggregate, float(candidates.values[c]))
-            design = assemble_design(mask, pk, window, out=designs[lo], scratch=scratches[lo])
-            residuals[c] = projection_residuals(design, stacked)
-
-    _split_run(score, ranges)
     tol = max(n_rows, n_features) * np.finfo(float).eps * np.sum(stacked**2, axis=0)
     tied = residuals <= residuals.min(axis=0) + tol
     return candidates.values[np.argmax(tied, axis=0)]
@@ -307,40 +327,25 @@ def _dedupe_params(delays: np.ndarray, supports: np.ndarray):
 
 def accumulate_normal_equations(batches, delays: np.ndarray, supports: np.ndarray,
                                 pspk_spec: KernelSpec) -> NormalEquations:
-    """Stream (mask, targets) batches into per-neuron normal equations.
+    """Sum (mask, targets) batches into per-neuron normal equations.
 
     ``batches`` yields tuples of a boolean (samples, neurons, steps) spike
     mask and the matching (samples, d_out, H) targets on its last H steps.
-    Neurons sharing the same (delay, support) share one Gram matrix; the
-    full stacked design is never materialized.
+    Neurons sharing the same (delay, support) share one Gram matrix, which
+    sums one batch's design at a time; the full stacked design is never
+    materialized.
     """
-    delays = np.asarray(delays, dtype=float)
-    supports = np.asarray(supports, dtype=float)
-    keys, members, group_of_neuron = _dedupe_params(delays, supports)
-    accs = None
-    capacity = 0
-    for mask, targets in batches:
-        window = _target_window(mask, targets)
-        stacked = _stack_targets(targets)
-        n_features = mask.shape[1] + 1
-        if accs is None:
-            accs = [GramAccumulator(n_features, len(m)) for m in members]
-        if capacity < mask.shape[0]:
-            # sized by the largest batch so far; smaller ones use its leading elements
-            capacity = mask.shape[0]
-            ranges = _split_ranges(len(members), len(members) * stacked.shape[0] * n_features)
-            designs = {lo: np.empty(stacked.shape[0] * n_features) for lo, _ in ranges}
-            scratches = {lo: _cast_scratch(mask) for lo, _ in ranges}
+    batches = list(batches)
+    if not batches:
+        raise ValueError("no batches were given")
+    keys, members, group_of_neuron = _dedupe_params(
+        np.asarray(delays, dtype=float), np.asarray(supports, dtype=float))
+    accs = [GramAccumulator(batches[0][0].shape[1] + 1, len(m)) for m in members]
 
-        def add(lo, hi):
-            for g in range(lo, hi):
-                pk = PlacedKernel(pspk_spec, keys[g][0], keys[g][1])
-                design = assemble_design(mask, pk, window, out=designs[lo], scratch=scratches[lo])
-                accs[g].add_block(design, stacked[:, members[g]], mask.shape[0])
+    def add(g, design, stacked, n_samples):
+        accs[g].add_block(design, stacked[:, members[g]], n_samples)
 
-        _split_run(add, ranges)
-    if accs is None:
-        raise ValueError("no batches were streamed")
+    _over_designs(batches, keys, pspk_spec, add)
     return NormalEquations(groups=accs, group_of_neuron=group_of_neuron)
 
 

@@ -238,6 +238,13 @@ def pair_probabilities_from_matrices(dist_in: np.ndarray, dist_out: np.ndarray,
     return PairProbabilities(probs=raw / total, pair_n=n_idx, pair_m=m_idx, n_samples=n)
 
 
+def _check_pair_batch(inputs_dense: np.ndarray, targets_dense: np.ndarray) -> None:
+    if inputs_dense.shape[0] != targets_dense.shape[0]:
+        raise ValueError("inputs and targets must have the same sample count")
+    if inputs_dense.shape[0] < 2:
+        raise ValueError("need at least two samples to form pairs")
+
+
 def pair_probabilities(inputs_dense: np.ndarray, targets_dense: np.ndarray,
                        d_in: Pseudometric, d_out: Pseudometric,
                        eps: float = 1e-6, min_norm: float = 1e-6) -> PairProbabilities:
@@ -247,10 +254,7 @@ def pair_probabilities(inputs_dense: np.ndarray, targets_dense: np.ndarray,
     one of its input channels has an L2 norm below ``min_norm`` after
     centering.
     """
-    if inputs_dense.shape[0] != targets_dense.shape[0]:
-        raise ValueError("inputs and targets must have the same sample count")
-    if inputs_dense.shape[0] < 2:
-        raise ValueError("need at least two samples to form pairs")
+    _check_pair_batch(inputs_dense, targets_dense)
     lifted, valid = _lift_and_filter(d_in.lift, inputs_dense, min_norm)
     dist_in = _unlifted(d_in).pairwise(lifted)
     dist_out = d_out.pairwise(targets_dense)
@@ -290,6 +294,7 @@ def select_metrics(inputs_dense: np.ndarray, targets_dense: np.ndarray,
     """
     if not candidates_in or not candidates_out:
         raise ValueError("candidate sets must be nonempty")
+    _check_pair_batch(inputs_dense, targets_dense)
     lifted, valid = {}, {}
     for cand in candidates_in:
         if cand.lift not in lifted:

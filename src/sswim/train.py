@@ -138,16 +138,16 @@ def _collect_split_spikes(layers, dataset: ForecastDataset, starts,
         row_of[known_rows] = np.arange(len(known_rows))
     cached = []
     for lo in range(0, len(starts), batch_size):
-        chunk = starts[lo: lo + batch_size]
+        batch = starts[lo: lo + batch_size]
         rows = row_of[lo: lo + batch_size]
         new = rows < 0
-        mask = np.empty((len(chunk), layers[-1].n_neurons, total_steps), dtype=bool)
+        mask = np.empty((len(batch), layers[-1].n_neurons, total_steps), dtype=bool)
         if new.any():
-            dense = _pad_inputs(dataset.input_batch(chunk[new]), total_steps)
+            dense = _pad_inputs(dataset.input_batch(batch[new]), total_steps)
             mask[new] = simulate_hidden_stack(layers, dense)[-1]
         if not new.all():
             mask[~new] = known[rows[~new]]
-        cached.append((mask, dataset.target_batch(chunk)))
+        cached.append((mask, dataset.target_batch(batch)))
     return cached
 
 
@@ -241,7 +241,6 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
             layer, _ = build_hidden_layer(
                 layer_index, n_layers, n_neurons, hidden_pspk, hidden_rfk,
                 latents, obs_len, horizon, pairs, cfg, rng_layers,
-                chunk=cfg.batch_size,
             )
             hidden_layers.append(layer)
             masks_xi = simulate_hidden_stack([layer], latents)[0]
@@ -262,7 +261,7 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
             simulated=(pick, masks_xi),
         )
         train_ne = accumulate_normal_equations(
-            iter(train_cache), delays.per_neuron, supports, output_pspk
+            train_cache, delays.per_neuron, supports, output_pspk
         )
         valid_starts = dataset.starts["valid"]
         lambda_source = "valid"
@@ -274,7 +273,7 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
                 hidden_layers, dataset, valid_starts, cfg.batch_size, total_steps
             )
         valid_ne = accumulate_normal_equations(
-            iter(valid_cache), delays.per_neuron, supports, output_pspk
+            valid_cache, delays.per_neuron, supports, output_pspk
         )
         lams = lambda_grid(cfg.lambda_count, cfg.lambda_min, cfg.lambda_max)
         weights, bias, chosen = solve_with_lambda_search(train_ne, valid_ne, lams)

@@ -17,11 +17,11 @@ import pytest
 from sswim.config import ModelArch, SswimConfig
 from sswim.datasets import make_windows, synth_dataset
 from sswim.hidden import (
-    VoltageStatsAccumulator,
     build_hidden_layer,
     normalize_fl,
     normalize_ms,
     separation_matrix,
+    voltage_stats,
     weight_dist,
     weight_dot,
 )
@@ -177,20 +177,15 @@ def test_criterion_03_normalization_exactness():
             traces = rng.normal(size=(30, 48)) * rng.uniform(0.2, 5.0) + rng.normal()
             traces[0, 0] += 1000.0  # keeps the silence correction inactive
 
-            acc = VoltageStatsAccumulator()
-            acc.add_trace(traces)
-            norm = normalize_ms(acc.result(), 0.5, 0.5)
-            after = VoltageStatsAccumulator()
-            after.add_trace(norm.scale * traces + norm.bias)
-            stats = after.result()
+            before = voltage_stats(traces)
+            norm = normalize_ms(before, 0.5, 0.5)
+            stats = voltage_stats(norm.scale * traces + norm.bias)
             assert abs(stats.mean - 0.5) <= 1e-9
             assert abs(stats.std - 0.5) <= 1e-9
 
             z = float(rng.uniform(0.5, 3.0))
-            norm = normalize_fl(acc.result(), z)
-            after = VoltageStatsAccumulator()
-            after.add_trace(norm.scale * traces + norm.bias)
-            stats = after.result()
+            norm = normalize_fl(before, z)
+            stats = voltage_stats(norm.scale * traces + norm.bias)
             assert abs(stats.mean - (1.0 - z * stats.std)) <= 1e-9
 
 

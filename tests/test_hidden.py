@@ -9,13 +9,13 @@ from sswim.config import ModelArch, SswimConfig
 from sswim.datasets import make_windows, synth_dataset
 from sswim.errors import DegenerateNeuronError, PipelineError, TrivialPairError
 from sswim.hidden import (
-    VoltageStatsAccumulator,
     build_hidden_layer,
     normalize_fl,
     normalize_ms,
     overlap_matrix,
     separation_matrix,
     temporal_assignment,
+    voltage_stats,
     weight_dist,
     weight_dot,
     weight_random,
@@ -186,9 +186,7 @@ class TestWeightRandom:
 
 class TestVoltageStats:
     def test_constant_trace(self):
-        acc = VoltageStatsAccumulator()
-        acc.add_trace(np.array([1.0]) @ np.full((1, 10), 0.3))
-        stats = acc.result()
+        stats = voltage_stats(np.array([1.0]) @ np.full((1, 10), 0.3))
         assert stats.mean == pytest.approx(0.3)
         assert stats.std == pytest.approx(0.0, abs=1e-12)
         assert stats.peak == pytest.approx(0.3)
@@ -196,10 +194,8 @@ class TestVoltageStats:
     def test_two_trace_hand_statistics(self):
         # trace 1: zero mean, unit std; trace 2: zero mean, std 3
         base = np.array([1.0, -1.0, 1.0, -1.0])
-        acc = VoltageStatsAccumulator()
-        for trace in (base[None, :], 3.0 * base[None, :]):
-            acc.add_trace(np.array([1.0]) @ trace)
-        stats = acc.result()
+        stats = voltage_stats(np.stack([np.array([1.0]) @ trace
+                                        for trace in (base[None, :], 3.0 * base[None, :])]))
         assert stats.mean == pytest.approx(0.0)
         assert stats.std == pytest.approx(2.0)
         assert stats.peak == pytest.approx(3.0)
@@ -207,46 +203,28 @@ class TestVoltageStats:
     def test_shift_stability(self):
         rng = np.random.default_rng(26)
         traces = rng.normal(size=(50, 64))
-        acc = VoltageStatsAccumulator()
-        acc.add_trace(traces)
-        base = acc.result()
-        acc_shift = VoltageStatsAccumulator()
-        acc_shift.add_trace(traces + 1e6)
-        shifted = acc_shift.result()
+        base = voltage_stats(traces)
+        shifted = voltage_stats(traces + 1e6)
         assert shifted.mean == pytest.approx(base.mean + 1e6, rel=1e-12)
         assert shifted.std == pytest.approx(base.std, rel=1e-6)
-
-    def test_batched_and_sequential_agree(self):
-        rng = np.random.default_rng(27)
-        traces = rng.normal(size=(20, 32))
-        seq = VoltageStatsAccumulator()
-        for row in traces:
-            seq.add_trace(row)
-        bat = VoltageStatsAccumulator()
-        bat.add_trace(traces)
-        assert seq.result() == bat.result()
 
     def test_scratch_gives_the_same_statistics(self):
         rng = np.random.default_rng(28)
         traces = rng.normal(size=(20, 32)) + 3.0
         kept = traces.copy()
-        plain = VoltageStatsAccumulator()
-        plain.add_trace(traces)
+        plain = voltage_stats(traces)
         scratch = np.empty_like(traces)
-        buffered = VoltageStatsAccumulator()
-        buffered.add_trace(traces, scratch=scratch)
-        assert buffered.result() == plain.result()
+        buffered = voltage_stats(traces, scratch=scratch)
+        assert buffered == plain
         assert traces.tobytes() == kept.tobytes()
 
-    def test_empty_stream_rejected(self):
+    def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            VoltageStatsAccumulator().result()
+            voltage_stats(np.empty((0, 10)))
 
     def test_projection_applied(self):
         psp = np.stack([np.ones(8), 2 * np.ones(8)])  # 2 channels
-        acc = VoltageStatsAccumulator()
-        acc.add_trace(np.array([1.0, 0.5]) @ psp)
-        stats = acc.result()
+        stats = voltage_stats(np.array([1.0, 0.5]) @ psp)
         assert stats.mean == pytest.approx(2.0)
 
 
@@ -306,13 +284,9 @@ class TestNormalizationPostcondition:
         rng = np.random.default_rng(28)
         traces = rng.normal(size=(40, 64)) * rng.uniform(0.5, 2.0) + 5.0
         traces[3, 10] = 40.0  # keep the silence correction inactive
-        acc = VoltageStatsAccumulator()
-        acc.add_trace(traces)
-        stats = acc.result()
+        stats = voltage_stats(traces)
         norm = normalize_ms(stats, 0.5, 0.5)
-        rescaled = VoltageStatsAccumulator()
-        rescaled.add_trace(norm.scale * traces + norm.bias)
-        after = rescaled.result()
+        after = voltage_stats(norm.scale * traces + norm.bias)
         assert after.mean == pytest.approx(0.5, abs=1e-9)
         assert after.std == pytest.approx(0.5, abs=1e-9)
 
@@ -320,14 +294,10 @@ class TestNormalizationPostcondition:
         rng = np.random.default_rng(29)
         traces = rng.normal(size=(40, 64)) * 2.0 + 3.0
         traces[0, 0] = 60.0
-        acc = VoltageStatsAccumulator()
-        acc.add_trace(traces)
-        stats = acc.result()
+        stats = voltage_stats(traces)
         z = 1.5
         norm = normalize_fl(stats, z=z)
-        rescaled = VoltageStatsAccumulator()
-        rescaled.add_trace(norm.scale * traces + norm.bias)
-        after = rescaled.result()
+        after = voltage_stats(norm.scale * traces + norm.bias)
         assert after.mean == pytest.approx(1.0 - z * after.std, abs=1e-9)
 
 
@@ -529,3 +499,17 @@ class TestSplitHiddenBuild:
             train_sswim(dataset, ModelArch(hidden=(25,)), cfg, seed=11)
         assert info.value.phase == "hidden_build"
         assert threads and threading.main_thread() not in threads
+
+
+def test_hidden_layers_do_not_depend_on_the_batch_size():
+    # 270 initialization windows: batch sizes 64, 100 and 256 cut them into
+    # blocks of other sizes, and the layer build must not see any of them
+    dataset = make_windows(synth_dataset("multisine", 2, 420, seed=7), obs_len=24, horizon=8)
+    layers = set()
+    for batch_size in (64, 100, 256):
+        cfg = SswimConfig(subbatch=270, sigma_min=3.0, sigma_max=12.0, sigma_cycle=5,
+                          support_count=8, lambda_count=6, batch_size=batch_size)
+        model, _ = train_sswim(dataset, ModelArch(hidden=(25,)), cfg, seed=11)
+        layers.add(b"".join(a.tobytes() for lay in model.layers[:-1]
+                            for a in (lay.weights, lay.bias, lay.spike_cost)))
+    assert len(layers) == 1

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
@@ -596,6 +597,27 @@ class TestSplitForwardPass:
         # too little work for a second thread
         assert network._split_ranges(11, 2 * least - 1) == [(0, 11)]
         assert network._split_ranges(11, 2 * least) == [(0, 5), (5, 11)]
+
+    def test_each_range_gets_buffers_allocated_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(network, "available_cpus", lambda: 3)
+        caller = threading.current_thread()
+        allocated, received = [], {}
+
+        def allocate():
+            buffers = [threading.current_thread()]
+            allocated.append(buffers)
+            return buffers
+
+        def fn(lo, hi, buffers):
+            received[lo, hi] = (buffers, threading.current_thread())
+
+        network._split_run(fn, 11, 11 * network._MIN_SLICE, allocate)
+        assert sorted(received) == [(0, 3), (3, 7), (7, 11)]
+        assert len(allocated) == 3
+        assert all(buffers[0] is caller for buffers in allocated)
+        given = [buffers for buffers, _ in received.values()]
+        assert sorted(map(id, given)) == sorted(map(id, allocated))
+        assert caller not in [thread for _, thread in received.values()]
 
     def test_shared_cpus_are_divided(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)

@@ -423,6 +423,20 @@ class TestSelectMetrics:
             bare = Pseudometric(spec).pairwise(lift.apply_batch(batch))
             assert lifted.tobytes() == bare.tobytes()
 
+    @pytest.mark.parametrize("n_inputs, n_targets, match", [
+        (5, 7, "same sample count"),
+        (1, 1, "at least two samples"),
+    ])
+    def test_sample_counts_checked_as_for_one_pair(self, n_inputs, n_targets, match):
+        rng = np.random.default_rng(21)
+        batch = random_batch(rng, n_inputs)
+        targets = random_batch(rng, n_targets, steps=16)
+        l2 = Pseudometric(EmbeddingSpec("l2"))
+        with pytest.raises(ValueError, match=match):
+            pair_probabilities(batch, targets, l2, l2)
+        with pytest.raises(ValueError, match=match):
+            select_metrics(batch, targets, [l2], [l2])
+
     def test_empty_candidates_rejected(self):
         rng = np.random.default_rng(17)
         batch = random_batch(rng, 4)
