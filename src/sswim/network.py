@@ -15,14 +15,27 @@ grid with every delay and support divided by its step.
 
 A hidden layer's drive is built in two products: the weights project the
 inputs to one trace per neuron, then one batched ``matmul`` applies the
-layer's conv stack, every neuron's (steps, steps) causal matrix built in
-one pass by ``kernel_conv_stack``. The refractory step loop then runs on a
-time-major (steps, samples, neurons) copy of the drive, so each step reads
-and writes contiguous (samples, neurons) slices; the voltage array is that
-copy updated in place, and the spike mask is written step by step beside
-it. Both are returned as (samples, neurons, steps) views. Each neuron's
-products and each step's sums are the ones a per-neuron, per-step loop
-would do, in the same order, so results are bit for bit those of that loop.
+layer's conv stack, every neuron's (steps, steps) causal matrix copied in
+one pass out of a window view of its taps by ``kernel_conv_stack``. The
+refractory step loop then runs on a time-major (steps, samples, neurons)
+copy of the drive, so each step reads and writes contiguous (samples,
+neurons) rows; the voltage array is that copy updated in place, and the
+spike mask is written step by step beside it. Both are returned as
+(samples, neurons, steps) views.
+
+The step loop applies only the costs of spikes still pending: each step
+adds, with one ``np.add.at``, the cost of every spike of the last D steps
+(D the longest refractory support) to its own position, newest spike step
+first. A loop over the lags d = 1, 2, ... that adds the cost times the
+spike indicator at every position adds the same nonzero terms to each
+position in the same order and, besides, only exact zeros, which change no
+sum (bar the sign of a zero voltage). So each neuron's products and each
+step's sums are those of a per-neuron, per-step loop, and masks and
+voltages are bit for bit that loop's. The work per step grows with the
+spike count: a 32-sample block of a 250-neuron, 88-step layer took
+5.7-5.9 ms against 7.0-7.9 ms for the loop over lags at the 4% of
+positions that fire in a trained layer, about as long at 13%, and
+13.1-13.6 ms at 94%.
 
 ``simulate_hidden_stack`` runs the samples in blocks of ``BLOCK``, each
 block through every layer in turn, and zero-pads the last block, so every
@@ -52,10 +65,12 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import KernelFamily, KernelSpec, PlacedKernel, Rectification, tap_span
 
@@ -236,25 +251,55 @@ def _leading(buf: np.ndarray, shape) -> np.ndarray:
     return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
+def _position_keys(n_positions: int) -> np.ndarray:
+    """(3, n_positions) keys of the step loop's spike search: row 0 holds
+    0, 1, ..., a position's key when it spikes, row 1 the same plus
+    ``n_positions``, its key when it does not, and row 2 takes one step's
+    keys."""
+    keys = np.empty((3, n_positions), dtype=np.min_scalar_type(2 * n_positions))
+    keys[0] = np.arange(n_positions)
+    keys[1] = keys[0] + n_positions
+    return keys
+
+
+def _pending_views(buf: np.ndarray, n_positions: int, n_lags: int):
+    """The step loop's pending spikes in the leading 5 * n_lags *
+    n_positions elements of the float buffer ``buf``: their positions and
+    the indices of their costs, two generations of each, and the costs."""
+    size = n_lags * n_positions
+    flat = buf.reshape(-1)[: 5 * size]
+    ints = flat[: 4 * size].view(np.int64).reshape(2, 2, size)
+    return ints[0], ints[1], flat[4 * size:]
+
+
 @dataclass
 class _BlockScratch:
     """One thread's buffers for running blocks of ``BLOCK`` samples through
     a hidden stack, sized for its widest layer; each layer uses views of
-    their leading elements."""
+    their leading elements.
+
+    The projection is dead once the drive is built, so ``projected`` then
+    holds the bias over the steps and, in the step loop, the pending
+    spikes: 40 * lags bytes per (sample, neuron) position, which outgrows
+    the projection only when a layer's refractory lags exceed a fifth of
+    the steps. Nothing in the step loop allocates, so a thread keeps no
+    memory of its own (see ``_split_run``)."""
 
     inputs: np.ndarray      # a padded block, or the previous layer's spikes as floats
     projected: np.ndarray   # the weights applied to the inputs
     drive: np.ndarray       # the drive, (samples, neurons, steps)
     volt: np.ndarray        # the voltages, time-major
     spiked: np.ndarray      # the spikes, time-major
-    cost: np.ndarray        # one lag's spike cost, one row per sample
+    keys: np.ndarray        # the step loop's position keys
 
     @classmethod
-    def allocate(cls, n_inputs: int, n_neurons: int, n_steps: int) -> "_BlockScratch":
+    def allocate(cls, n_inputs: int, n_neurons: int, n_steps: int,
+                 n_lags: int) -> "_BlockScratch":
         size = BLOCK * n_neurons * n_steps
-        return cls(inputs=np.empty(BLOCK * n_inputs * n_steps), projected=np.empty(size),
+        return cls(inputs=np.empty(BLOCK * n_inputs * n_steps),
+                   projected=np.empty(max(size, 5 * n_lags * BLOCK * n_neurons)),
                    drive=np.empty(size), volt=np.empty(size),
-                   spiked=np.empty(size, dtype=bool), cost=np.empty(BLOCK * n_neurons))
+                   spiked=np.empty(size, dtype=bool), keys=_position_keys(BLOCK * n_neurons))
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +310,15 @@ def causal_conv_matrix(taps: np.ndarray, n_steps: int) -> np.ndarray:
     """Banded matrix C with C[t, s] = taps[t - s]; then conv(x) = x @ C.T.
 
     ``taps`` of shape (neurons, lags) gives one matrix per row, stacked as
-    (neurons, n_steps, n_steps).
+    (neurons, n_steps, n_steps). Row t of C is the window [t, t + n_steps)
+    of the taps after n_steps - 1 zeros, reversed, so C is one copy of a
+    window view. A -0.0 tap is written as 0.0.
     """
     taps = np.asarray(taps, dtype=float)
-    c = np.zeros(taps.shape[:-1] + (n_steps, n_steps))
-    flat = c.reshape(taps.shape[:-1] + (n_steps * n_steps,))
-    for d in range(min(taps.shape[-1], n_steps)):
-        if np.any(taps[..., d]):
-            # the d-th subdiagonal C[d + k, k] sits at flat index d*n + k*(n + 1)
-            flat[..., d * n_steps:: n_steps + 1] = taps[..., d, None]
-    return c
+    lags = min(taps.shape[-1], n_steps)
+    padded = np.zeros(taps.shape[:-1] + (2 * n_steps - 1,))
+    np.add(taps[..., :lags], 0.0, out=padded[..., n_steps - 1: n_steps - 1 + lags])
+    return np.ascontiguousarray(sliding_window_view(padded, n_steps, axis=-1)[..., ::-1])
 
 
 def kernel_conv_stack(spec: KernelSpec, delay, support, n_steps: int) -> np.ndarray:
@@ -322,7 +366,13 @@ def hidden_drive_batch(layer: LayerParams, dense_in: np.ndarray, stack: np.ndarr
     # one (samples, steps) @ (steps, steps) product per neuron
     np.matmul(projected.transpose(1, 0, 2), stack.transpose(0, 2, 1),
               out=drive.transpose(1, 0, 2))
-    drive += layer.bias[:, None]
+    # the bias over the steps, in the dead projection, added sample by
+    # sample: numpy buffers a broadcast operand, which allocates and takes
+    # longer
+    bias = _leading(projected, shape[1:])
+    np.copyto(bias, layer.bias[:, None])
+    for row in drive.reshape(n_samples, -1):
+        np.add(row, bias.reshape(-1), out=row)
     return drive
 
 
@@ -341,33 +391,63 @@ def simulate_hidden_batch(layer: LayerParams, dense_in: np.ndarray,
 
     The time loop is sequential: each step's voltage includes the spike
     cost of strictly earlier spikes only. It runs on time-major
-    (steps, samples, neurons) arrays, so every per-step slice is
-    contiguous; the results are transposed views of them, views of
-    ``scratch``'s buffers when it is given. ``stack`` is passed on to
+    (steps, samples, neurons) arrays, so every per-step row is contiguous;
+    the results are transposed views of them, views of ``scratch``'s
+    buffers when it is given. ``stack`` is passed on to
     ``hidden_drive_batch``.
+
+    A step adds only the costs of the spikes of its last D steps: their
+    positions and the indices of their costs in the flat (lags, neurons)
+    cost rows, newest step first, go to the step's voltage row in one
+    ``np.add.at``, which adds repeated positions in order. A position that
+    spiked at several of those steps so gets its costs lag by lag, as in a
+    loop that adds ``cost[d - 1] * spiked[t - d]`` for d = 1, 2, ...; that
+    loop adds exact zeros besides. The step's spikes are then found by a
+    partition of position keys and join the pending ones.
     """
     if not layer.is_hidden:
         raise ValueError("simulate_hidden_batch needs a hidden layer")
     drive = hidden_drive_batch(layer, dense_in, stack, scratch)
-    shape = (drive.shape[2], drive.shape[0], drive.shape[1])
+    n_samples, n_neurons, n_steps = drive.shape
+    shape = (n_steps, n_samples, n_neurons)
+    # entry (d - 1) * neurons + i is neuron i's spike cost d steps after its spike
+    cost_rows = (layer.spike_cost[:, None] * refractory_taps(layer)).T.ravel()
+    n_lags = min(len(cost_rows) // n_neurons, n_steps)
+    row = n_samples * n_neurons
     if scratch is None:
-        volt, spiked, cost = np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape[1:])
+        volt, spiked = np.empty(shape), np.empty(shape, dtype=bool)
+        keys, pending = _position_keys(row), np.empty(5 * n_lags * row)
     else:
         volt, spiked = _leading(scratch.volt, shape), _leading(scratch.spiked, shape)
-        cost = _leading(scratch.cost, shape[1:])
-    for m in range(shape[1]):
+        keys, pending = scratch.keys[:, :row], scratch.projected   # the projection is dead
+    for m in range(n_samples):
         volt[:, m] = drive[m].T   # sample by sample: each block stays in cache
-    # row d - 1 holds every neuron's spike cost d steps after its spike
-    cost_rows = np.ascontiguousarray((layer.spike_cost[:, None] * refractory_taps(layer)).T)
-    lags = [d for d in range(1, len(cost_rows) + 1) if np.any(cost_rows[d - 1])]
-    for t in range(shape[0]):
-        v = volt[t]
-        for d in lags:
-            if d > t:
-                break
-            np.multiply(cost_rows[d - 1], spiked[t - d], out=cost)   # one row per sample
-            v += cost
-        np.greater_equal(v, THRESHOLD, out=spiked[t])
+    order, later, key = keys
+    positions, cost_index, costs = _pending_views(pending, row, n_lags)
+    counts = deque()   # spikes per pending step, newest first
+    total = g = 0      # pending spikes, and the generation that holds them
+    for t, (v, s) in enumerate(zip(volt.reshape(n_steps, row), spiked.reshape(n_steps, row))):
+        if total:
+            # mode "raise" would copy ``out`` first
+            np.take(cost_rows, cost_index[g, :total], out=costs[:total], mode="clip")
+            np.add.at(v, positions[g, :total], costs[:total])
+        np.greater_equal(v, THRESHOLD, out=s)
+        if t + 1 == n_steps or n_lags == 0:
+            continue
+        if len(counts) == n_lags:
+            total -= counts.pop()
+        new, h = np.count_nonzero(s), 1 - g
+        if new:
+            np.copyto(key, later)
+            np.copyto(key, order, where=s)
+            if new < row:
+                key.partition(new - 1)
+            positions[h, :new] = key[:new]
+            np.remainder(positions[h, :new], n_neurons, out=cost_index[h, :new])
+        positions[h, new: new + total] = positions[g, :total]
+        np.add(cost_index[g, :total], n_neurons, out=cost_index[h, new: new + total])
+        counts.appendleft(new)
+        total, g = total + new, h
     return spiked.transpose(1, 2, 0), volt.transpose(1, 2, 0)
 
 
@@ -406,8 +486,10 @@ def simulate_hidden_stack(layers, dense_in: np.ndarray) -> list:
                     block = _leading(scratch.inputs, spiked.shape)
                     np.copyto(block, spiked)
 
+    n_lags = max(min(refractory_taps(layer).shape[1], n_steps) for layer in layers)
     _split_run(run, n_blocks, n_blocks * BLOCK * sum(widths[1:]) * n_steps,
-               lambda: _BlockScratch.allocate(max(widths[:-1]), max(widths[1:]), n_steps))
+               lambda: _BlockScratch.allocate(max(widths[:-1]), max(widths[1:]), n_steps,
+                                              n_lags))
     return masks
 
 
@@ -549,18 +631,32 @@ def model_from_dict(d: dict) -> SnnModel:
 def save_model(model: SnnModel, path) -> None:
     """Write the model as JSON; floats round-trip exactly via shortest repr.
 
-    A non-finite value raises ValueError naming its layer (1-based). The
-    file is written with ``write_text_atomic``.
+    A non-finite value raises ValueError naming its layer (1-based) or its
+    ``metadata`` field, and nothing is written. The file is written with
+    ``write_text_atomic``.
     """
-    data = model_to_dict(model)
-    for layer_no, layer in enumerate(data["layers"], start=1):
-        try:
-            json.dumps(layer, allow_nan=False)
-        except ValueError:
+    for layer_no, layer in enumerate(model.layers, start=1):
+        arrays = (layer.weights, layer.bias, layer.delay, layer.support)
+        if layer.is_hidden:
+            arrays += (layer.spike_cost, layer.rf_support)
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ValueError(f"layer {layer_no} holds a non-finite value; model not saved")
+    for key, value in model.metadata.items():
+        if not _finite(value):
             raise ValueError(
-                f"layer {layer_no} holds a non-finite value; model not saved"
-            ) from None
-    write_text_atomic(path, json.dumps(data, indent=1, allow_nan=False) + "\n")
+                f"metadata field {key!r} holds a non-finite value; model not saved")
+    write_text_atomic(path, json.dumps(model_to_dict(model), indent=1, allow_nan=False) + "\n")
+
+
+def _finite(value) -> bool:
+    """False when a float in ``value``, a JSON-like tree, is NaN or infinite."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, (list, tuple)):
+        return all(_finite(v) for v in value)
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    return True
 
 
 def write_text_atomic(path, text: str) -> None:

@@ -213,7 +213,9 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
         for layer_index, n_neurons in enumerate(arch.hidden, start=1):
             lift = None
             if layer_index > 1:
-                latents = masks_xi.astype(float)
+                # the metrics read the mask as it is, and only the layer build
+                # its float copy, so the two are never held at once
+                latents = masks_xi
                 lift = VanRossumLift(
                     hidden_pspk,
                     cfg.sigma_min if cfg.lift_support is None else cfg.lift_support,
@@ -238,6 +240,8 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
                 names = (d_in_metric.name, d_out_metric.name)
             if layer_index == 1:
                 report.metric_in, report.metric_out = names
+            else:
+                latents = masks_xi.astype(float)
             layer, _ = build_hidden_layer(
                 layer_index, n_layers, n_neurons, hidden_pspk, hidden_rfk,
                 latents, obs_len, horizon, pairs, cfg, rng_layers,

@@ -307,7 +307,7 @@ class TestSimulatorMatchesReference:
 
     def test_one_dimensional_builder_keeps_its_result(self):
         rng = np.random.default_rng(4)
-        for n_taps, n_steps in ((5, 12), (12, 5), (1, 1), (7, 7)):
+        for n_taps, n_steps in ((5, 12), (12, 5), (30, 6), (3, 1), (1, 1), (7, 7)):
             taps = rng.normal(size=n_taps)
             taps[rng.random(n_taps) < 0.3] = 0.0
             got = causal_conv_matrix(taps, n_steps)
@@ -316,6 +316,88 @@ class TestSimulatorMatchesReference:
             stacked = causal_conv_matrix(np.stack([taps, 2.0 * taps]), n_steps)
             assert stacked[0].tobytes() == got.tobytes()
             assert stacked[1].tobytes() == causal_conv_matrix(2.0 * taps, n_steps).tobytes()
+
+
+class TestPendingSpikeCosts:
+    """The step loop adds only the costs of pending spikes; its masks and
+    voltages must still be the reference loop's bytes."""
+
+    def assert_matches_reference(self, layer, dense):
+        spiked, volt = simulate_hidden_batch(layer, dense)
+        ref_spiked, ref_volt = reference_simulate(layer, dense)
+        assert spiked.tobytes() == ref_spiked.tobytes()
+        assert volt.tobytes() == ref_volt.tobytes()
+        return spiked
+
+    def test_consecutive_spikes_pend_at_one_position_over_several_lags(self):
+        rng = np.random.default_rng(21)
+        layer = hidden_layer(rng.normal(size=(3, 2)) * 0.05, 2.0, delay=0.0, support=3.0,
+                             cost=-0.3, rf_support=4.0)
+        spiked = self.assert_matches_reference(layer, rng.normal(size=(4, 2, 15)))
+        assert spiked[:, :, :6].all()   # so step 5 adds four lags' costs at every position
+
+    def test_refractory_support_longer_than_the_grid(self):
+        rng = np.random.default_rng(22)
+        layer = hidden_layer(rng.normal(size=(5, 2)), 1.1, delay=1.0, support=3.0,
+                             cost=-0.1, rf_support=20.0)
+        assert refractory_taps(layer).shape[1] == 20
+        spiked = self.assert_matches_reference(layer, rng.normal(size=(3, 2, 8)))
+        assert spiked.sum(axis=2).max() > 1
+
+    def test_a_neuron_without_spike_cost(self):
+        rng = np.random.default_rng(23)
+        layer = hidden_layer(rng.normal(size=(3, 2)) * 0.3, 1.05, delay=0.0, support=2.0,
+                             cost=-2.0, rf_support=3.0)
+        layer.spike_cost[1] = 0.0
+        spiked = self.assert_matches_reference(layer, rng.normal(size=(2, 2, 12)))
+        assert spiked[:, 1].sum() > spiked[:, 0].sum()
+
+    def test_a_batch_of_no_whole_block_without_scratch(self):
+        rng = np.random.default_rng(24)
+        layer = random_hidden_layer(rng, 7, 3, KernelFamily.HAT)
+        spiked = self.assert_matches_reference(layer, rng.normal(size=(BLOCK + 3, 3, 20)))
+        assert 0 < spiked.mean() < 1
+
+    def test_the_step_loop_allocates_no_array(self):
+        # every index and cost buffer comes from the scratch, allocated
+        # beforehand; one per-step array of the spike positions alone would
+        # be one (samples, neurons) row of intp here, where every neuron
+        # fires at every step
+        n_neurons, n_steps = 200, 10
+        layer = hidden_layer(np.zeros((n_neurons, 1)), 6.0, delay=0.0, support=2.0,
+                             cost=-0.5, rf_support=3.0)
+        dense = np.zeros((BLOCK, 1, n_steps))
+        stack = kernel_conv_stack(layer.pspk, layer.delay, layer.support, n_steps)
+        scratch = network._BlockScratch.allocate(1, n_neurons, n_steps, 3)
+        simulate_hidden_batch(layer, dense, stack, scratch)
+        tracemalloc.start()
+        try:
+            spiked, _ = simulate_hidden_batch(layer, dense, stack, scratch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert spiked.all()
+        assert peak < BLOCK * n_neurons * np.dtype(float).itemsize
+
+
+class TestCausalConvMatrix:
+    """``causal_conv_matrix`` against the diagonal-by-diagonal reference."""
+
+    def test_negative_zero_tap_is_written_as_zero(self):
+        taps = np.array([0.5, -0.0, 0.25, -0.0])
+        got = causal_conv_matrix(taps, 6)
+        assert got.tobytes() == reference_causal_conv_matrix(taps, 6).tobytes()
+        assert not np.signbit(got).any()
+
+    def test_three_dimensional_taps_give_one_matrix_per_row(self):
+        taps = np.random.default_rng(5).normal(size=(2, 3, 4))
+        taps[0, 1, 2] = -0.0
+        got = causal_conv_matrix(taps, 7)
+        assert got.shape == (2, 3, 7, 7)
+        for i in range(2):
+            for j in range(3):
+                assert got[i, j].tobytes() == reference_causal_conv_matrix(
+                    taps[i, j], 7).tobytes()
 
 
 @st.composite
@@ -711,6 +793,18 @@ class TestSerialization:
         before = path.read_bytes()
         model.layers[-1].weights[0, 1] = np.nan
         with pytest.raises(ValueError, match="layer 2"):
+            save_model(model, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    def test_non_finite_metadata_rejected_and_file_kept(self, tmp_path):
+        model = tiny_model()
+        model.metadata["chosen_lambda"] = [0.5, 1e-3]
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        before = path.read_bytes()
+        model.metadata["chosen_lambda"] = [0.5, math.inf]
+        with pytest.raises(ValueError, match="'chosen_lambda'"):
             save_model(model, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
