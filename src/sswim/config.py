@@ -124,7 +124,10 @@ class ModelArch:
     output_pspk: str | None = None   # defaults to the hidden family
 
     def __post_init__(self):
-        self.hidden = tuple(int(n) for n in self.hidden)
+        self.hidden = tuple(self.hidden)
+        for n in self.hidden:
+            if not _is_int(n):
+                raise ConfigError(f"hidden layer widths must be integers, not {n!r}")
         if not self.hidden or any(n < 1 for n in self.hidden):
             raise ConfigError("hidden layer widths must be positive")
         for name in (self.pspk, self.rfk, self.output_pspk):
@@ -183,10 +186,13 @@ class AblationConfig:
     def __post_init__(self):
         self.criteria = tuple(self.criteria)
         self.normalizers = tuple(self.normalizers)
-        self.neuron_counts = tuple(int(n) for n in self.neuron_counts)
+        self.neuron_counts = tuple(self.neuron_counts)
         for name in ("criteria", "normalizers", "neuron_counts"):
             if not getattr(self, name):
                 raise ConfigError(f"ablation {name} must not be empty")
+        for n in self.neuron_counts:
+            if not _is_int(n):
+                raise ConfigError(f"ablation neuron_counts must be integers, not {n!r}")
         if min(self.neuron_counts) < 1:
             raise ConfigError("ablation neuron_counts must be at least 1")
 

@@ -146,7 +146,6 @@ class VoltageStats:
     mean: float
     std: float
     peak: float
-    n_samples: int = 0
 
 
 def voltage_stats(traces: np.ndarray, scratch: np.ndarray | None = None) -> VoltageStats:
@@ -169,8 +168,7 @@ def voltage_stats(traces: np.ndarray, scratch: np.ndarray | None = None) -> Volt
     for n, (m, s) in enumerate(zip(means.tolist(), stds.tolist()), start=1):
         mean_of_means += (m - mean_of_means) / n
         mean_of_stds += (s - mean_of_stds) / n
-    return VoltageStats(mean=mean_of_means, std=mean_of_stds, peak=float(traces.max()),
-                        n_samples=len(means))
+    return VoltageStats(mean=mean_of_means, std=mean_of_stds, peak=float(traces.max()))
 
 
 # ---------------------------------------------------------------------------

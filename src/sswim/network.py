@@ -49,10 +49,12 @@ window rows of its conv stack, is then applied to its own trace. That is
 the design row of the output fit (``output.assemble_design``) times the
 weights, up to rounding.
 
-The hidden layers, the hidden-layer build (``hidden.build_hidden_layer``)
-and the output fit (``output.select_supports`` and
-``output.accumulate_normal_equations``) run on every available CPU through
-``_split_run``, which alone starts threads and allocates their buffers.
+The hidden layers, the metric selection (``sampling.Pseudometric.pairwise``
+under ``sampling.select_metrics``), the hidden-layer build
+(``hidden.build_hidden_layer``) and the output fit
+(``output.select_supports`` and ``output.accumulate_normal_equations``)
+run on every available CPU through ``_split_run``, which alone starts
+threads and allocates their buffers.
 The forward pass splits once per ``simulate_hidden_stack`` call, by block:
 each thread runs its range of blocks one at a time through every layer, so
 one thread's BLAS products overlap another's step loop. A block's BLAS

@@ -12,10 +12,19 @@ while their inputs barely do ("steep" pairs) are picked most often. The
 Shannon entropy of that distribution doubles as a selection criterion
 between candidate distance functions: lower entropy means the distance
 pair separates the dataset more decisively.
+
+A distance matrix is split over threads by ``network._split_run``: the
+samples to embed, then, for a complex embedding, the ``BLOCK``-column
+blocks of the Gram matrix. Workers write only the result arrays and the
+buffers ``allocate`` made for them on the calling thread, and every BLAS
+call has the shape it has on one thread, so distance matrices, pair
+distributions and the chosen metrics are bit for bit the same on any
+number of CPUs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -23,7 +32,7 @@ import numpy as np
 
 from .errors import DegenerateDistributionError
 from .kernels import KernelSpec, PlacedKernel
-from .network import BLOCK, kernel_conv_matrix
+from .network import BLOCK, _leading, _split_run, kernel_conv_matrix
 
 
 @dataclass(frozen=True)
@@ -43,6 +52,11 @@ class EmbeddingSpec:
             raise ValueError("band bins are only valid for the band embedding")
 
     @property
+    def dtype(self) -> type:
+        """The type of the embedded values."""
+        return complex if self.kind in ("phase", "band") else float
+
+    @property
     def name(self) -> str:
         if self.kind == "band":
             return f"band:{self.band[0]}:{self.band[1]}"
@@ -58,31 +72,50 @@ class EmbeddingSpec:
         return cls(text)
 
 
-def embed(spec: EmbeddingSpec, values) -> np.ndarray:
-    """Apply an embedding to a (channels, steps) array; may return complex."""
+def embed(spec: EmbeddingSpec, values, out=None, spectrum=None, magnitude=None) -> np.ndarray:
+    """Apply an embedding to a (channels, steps) array; may return complex.
+
+    The result is written to ``out`` (of ``spec.dtype``), the transform to
+    ``spectrum`` and the transform's complex input, then the magnitudes, to
+    ``magnitude``; each is shaped like ``values`` and made here when not
+    given. With all three given, nothing as large as a sample is
+    allocated."""
     values = np.asarray(values, dtype=float)
+    if out is None:
+        out = np.empty(values.shape, dtype=spec.dtype)
     if spec.kind == "l2":
-        return values.copy()
+        np.copyto(out, values)
+        return out
     if spec.kind == "cos":
-        norm = np.sqrt(np.sum(values * values))
+        norm = np.sqrt(np.sum(np.multiply(values, values, out=out)))
         if norm == 0.0:
-            return values.copy()
-        return values / norm
-    spectrum = np.fft.fft(values, axis=-1, norm="ortho")
+            np.copyto(out, values)
+        else:
+            np.divide(values, norm, out=out)
+        return out
+    if spec.kind == "band" and spec.band[1] > values.shape[-1]:
+        raise ValueError(
+            f"band bins [{spec.band[0]}, {spec.band[1]}) exceed the "
+            f"{values.shape[-1]}-bin spectrum"
+        )
+    if spectrum is None:
+        spectrum = np.empty(values.shape, dtype=complex)
+    if magnitude is None:
+        magnitude = np.empty(values.shape, dtype=complex)
+    # the transform only takes complex input: given a real array, it would
+    # make the complex copy itself
+    np.copyto(magnitude, values)
+    np.fft.fft(magnitude, axis=-1, norm="ortho", out=spectrum)
     if spec.kind == "mag":
-        return np.abs(spectrum)
+        return np.abs(spectrum, out=out)
+    out.fill(0.0)
     if spec.kind == "phase":
-        mag = np.abs(spectrum)
-        out = np.zeros_like(spectrum)
-        nz = mag > 0.0
-        out[nz] = spectrum[nz] / mag[nz]
+        # magnitudes as complex numbers with zero imaginary part, as the
+        # division casts them; empty bins stay zero
+        np.abs(spectrum, out=magnitude.real)
+        np.divide(spectrum, magnitude, out=out, where=magnitude.real > 0.0)
         return out
     lo, hi = spec.band
-    if hi > values.shape[-1]:
-        raise ValueError(
-            f"band bins [{lo}, {hi}) exceed the {values.shape[-1]}-bin spectrum"
-        )
-    out = np.zeros_like(spectrum)
     out[..., lo:hi] = spectrum[..., lo:hi]
     return out
 
@@ -115,18 +148,26 @@ class Pseudometric:
     def prepare_batch(self, dense: np.ndarray) -> np.ndarray:
         """Centered, embedded flat vector per sample of a (samples, channels,
         steps) array, lifted first when the metric has a lift. Each sample is
-        centered and embedded alone and written into one (samples, features)
-        array."""
+        centered and embedded alone, straight into its row of one (samples,
+        features) array: one ``embed`` of the whole batch multiplies the
+        temporaries of deep's second layer (+90 MB peak RSS on that
+        workload). The samples are split over threads by ``_split_run``;
+        each thread centers and transforms in its own buffers."""
         if self.lift is not None:
             dense = self.lift.apply_batch(dense)
-        vecs = None
-        # sample by sample: one embed of the whole batch multiplies the
-        # temporaries of deep's second layer (+90 MB peak RSS on that workload)
-        for i, sample in enumerate(dense):
-            vec = embed(self.embedding, sample - sample.mean(axis=-1, keepdims=True)).ravel()
-            if vecs is None:
-                vecs = np.empty((dense.shape[0], vec.size), dtype=vec.dtype)
-            vecs[i] = vec
+        shape = dense.shape[1:]
+        vecs = np.empty((dense.shape[0], math.prod(shape)), dtype=self.embedding.dtype)
+
+        def run(lo, hi, buffers):
+            centered, spectrum, magnitude = buffers
+            for i in range(lo, hi):
+                sample = dense[i]
+                np.subtract(sample, sample.mean(axis=-1, keepdims=True), out=centered)
+                embed(self.embedding, centered, vecs[i].reshape(shape), spectrum, magnitude)
+
+        _split_run(run, dense.shape[0], dense.size,
+                   lambda: (np.empty(shape), np.empty(shape, dtype=complex),
+                            np.empty(shape, dtype=complex)))
         return vecs
 
     def distance(self, a, b) -> float:
@@ -137,17 +178,33 @@ class Pseudometric:
     def pairwise(self, dense: np.ndarray) -> np.ndarray:
         """Full symmetric distance matrix over a batch of samples.
 
-        A complex embedding is conjugated ``BLOCK`` samples at a time, each
-        block giving those samples' columns of the Gram matrix, so no
-        conjugate of the whole batch is made."""
+        A complex embedding's Gram matrix is formed ``BLOCK`` columns at a
+        time, the blocks split over threads by ``_split_run``: each thread
+        conjugates a block into its own buffer, takes the block's Gram
+        columns, then multiplies the block into the conjugate in place for
+        its squared norms, so no conjugate or product of the whole batch is
+        made. A real embedding's Gram matrix is one product, which numpy
+        runs as a symmetric rank-k update: cut into columns, it rounds
+        differently."""
         vecs = self.prepare_batch(dense)
+        n = vecs.shape[0]
         if np.iscomplexobj(vecs):
-            sq = np.empty(vecs.shape[0])
-            gram = np.empty((vecs.shape[0], vecs.shape[0]))
-            for lo in range(0, vecs.shape[0], BLOCK):
-                conj = vecs[lo: lo + BLOCK].conj()
-                sq[lo: lo + BLOCK] = np.sum((vecs[lo: lo + BLOCK] * conj).real, axis=1)
-                gram[:, lo: lo + BLOCK] = (vecs @ conj.T).real
+            sq = np.empty(n)
+            gram = np.empty((n, n))
+
+            def run(lo, hi, buffers):
+                conj_buf, prod_buf = buffers
+                for b in range(lo, hi):
+                    cols = slice(b * BLOCK, min(n, (b + 1) * BLOCK))
+                    block = vecs[cols]
+                    conj = np.conjugate(block, out=_leading(conj_buf, block.shape))
+                    prod = _leading(prod_buf, (n, block.shape[0]))
+                    gram[:, cols] = np.matmul(vecs, conj.T, out=prod).real
+                    sq[cols] = np.sum(np.multiply(block, conj, out=conj).real, axis=1)
+
+            _split_run(run, -(-n // BLOCK), vecs.size,
+                       lambda: (np.empty(BLOCK * vecs.shape[1], dtype=complex),
+                                np.empty(n * BLOCK, dtype=complex)))
         else:
             sq = np.sum(vecs * vecs, axis=1)
             gram = vecs @ vecs.T
@@ -174,7 +231,6 @@ class PairProbabilities:
     probs: np.ndarray        # (K,) normalized, K = M(M-1)/2
     pair_n: np.ndarray       # (K,) first index of each pair
     pair_m: np.ndarray       # (K,) second index, pair_m < pair_n
-    n_samples: int = 0
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=float)
@@ -207,7 +263,7 @@ def _lift_and_filter(lift: VanRossumLift | None, dense: np.ndarray,
     if lift is not None:
         dense = lift.apply_batch(dense)
     centered = dense - dense.mean(axis=-1, keepdims=True)
-    norms = np.sqrt(np.sum(centered * centered, axis=-1))
+    norms = np.sqrt(np.sum(np.square(centered, out=centered), axis=-1))
     return dense, np.any(norms >= min_norm, axis=1)
 
 
@@ -235,7 +291,7 @@ def pair_probabilities_from_matrices(dist_in: np.ndarray, dist_out: np.ndarray,
     total = raw.sum()
     if total <= 0.0:
         raise DegenerateDistributionError("every pair has zero probability")
-    return PairProbabilities(probs=raw / total, pair_n=n_idx, pair_m=m_idx, n_samples=n)
+    return PairProbabilities(probs=raw / total, pair_n=n_idx, pair_m=m_idx)
 
 
 def _check_pair_batch(inputs_dense: np.ndarray, targets_dense: np.ndarray) -> None:

@@ -360,8 +360,7 @@ def test_criterion_10_entropy_bounds():
         assert shannon_entropy(np.full(4, 0.25)) == math.log(4)
         assert shannon_entropy(np.array([1.0, 0.0, 0.0, 0.0])) == 0.0
         n_idx, m_idx = np.tril_indices(4, k=-1)
-        pairs = PairProbabilities(probs=np.full(6, 1 / 6), pair_n=n_idx,
-                                  pair_m=m_idx, n_samples=4)
+        pairs = PairProbabilities(probs=np.full(6, 1 / 6), pair_n=n_idx, pair_m=m_idx)
         assert shannon_entropy(pairs) == pytest.approx(math.log(6), abs=1e-12)
         rng = np.random.default_rng(110)
         for k in (2, 6, 33):

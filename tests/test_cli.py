@@ -98,6 +98,10 @@ BAD_VALUES = [
     ("run", "threads: 0", "threads"),
     ("run", "threads: -2", "threads"),
     ("run", "threads: true", "threads"),
+    ("architecture", "hidden: [10.7]", "hidden"),
+    ("architecture", "hidden: [20, true]", "hidden"),
+    ("architecture", 'hidden: ["3"]', "hidden"),
+    ("architecture", "hidden: [0]", "hidden"),
 ]
 
 # one non-finite value per float field of SswimConfig
@@ -129,6 +133,9 @@ BAD_ABLATIONS = [
     ("criteria: []", "criteria"),
     ("normalizers: []", "normalizers"),
     ("neuron_counts: []", "neuron_counts"),
+    ("neuron_counts: [10.7]", "neuron_counts"),
+    ("neuron_counts: [12, true]", "neuron_counts"),
+    ('neuron_counts: ["3"]', "neuron_counts"),
 ]
 
 

@@ -231,7 +231,7 @@ class TestVoltageStats:
 def make_stats(mean, std, peak):
     from sswim.hidden import VoltageStats
 
-    return VoltageStats(mean=mean, std=std, peak=peak, n_samples=1)
+    return VoltageStats(mean=mean, std=std, peak=peak)
 
 
 class TestNormalizeMs:

@@ -1,9 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from sswim import sampling
+from sswim import network, sampling
 from sswim.errors import DegenerateDistributionError
 from sswim.kernels import KernelFamily, pspk
 from sswim.sampling import (
@@ -73,6 +74,29 @@ class TestEmbed:
         assert np.all(out[:, :2] == 0.0) and np.all(out[:, 5:] == 0.0)
         np.testing.assert_array_equal(out[:, 2:5], full[:, 2:5])
 
+    @pytest.mark.parametrize("spec", ALL_EMBEDDINGS, ids=lambda s: s.name)
+    def test_bytes_match_the_plain_formulas(self, spec):
+        f = np.random.default_rng(23).normal(size=(3, 16))
+        f[1] = 0.0   # a channel whose bins are all empty
+        f -= f.mean(axis=-1, keepdims=True)
+        spectrum = np.fft.fft(f, axis=-1, norm="ortho")
+        mag = np.abs(spectrum)
+        expected = np.zeros_like(spectrum)
+        if spec.kind == "l2":
+            expected = f
+        elif spec.kind == "cos":
+            expected = f / np.sqrt(np.sum(f * f))
+        elif spec.kind == "mag":
+            expected = mag
+        elif spec.kind == "phase":
+            nz = mag > 0.0
+            expected[nz] = spectrum[nz] / mag[nz]
+        else:
+            expected[:, 1:8] = spectrum[:, 1:8]
+        got = embed(spec, f)
+        assert got.dtype == spec.dtype
+        assert got.tobytes() == expected.tobytes()
+
     def test_parse_band_spec(self):
         spec = EmbeddingSpec.parse("band:3:9")
         assert spec.kind == "band" and spec.band == (3, 9)
@@ -135,24 +159,70 @@ def reference_pairwise(vecs):
     return dist + dist.T
 
 
+LIFT = VanRossumLift(pspk(KernelFamily.HAT), 4.0)
+# every embedding, and one lifted metric with a complex embedding
+SPLIT_METRICS = [Pseudometric(spec) for spec in ALL_EMBEDDINGS] + [
+    Pseudometric(EmbeddingSpec("phase"), LIFT)
+]
+
+
+def metric_batch(metric, rng, n_samples, steps=40):
+    """Spike trains (as floats) for a lifted metric, else a random batch."""
+    if metric.lift is not None:
+        return (rng.random((n_samples, 3, steps)) < 0.2).astype(float)
+    return random_batch(rng, n_samples, steps=steps)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """A setter of the CPU count the split sees, with even the smallest
+    batch split; it returns the range counts of the ``_split_run`` calls
+    of ``sampling`` from then on."""
+    monkeypatch.setattr(network, "_MIN_SLICE", 1)
+    widths = []
+    real = sampling._split_run
+
+    def counted(fn, n, size, allocate):
+        widths.append(len(network._split_ranges(n, size)))
+        real(fn, n, size, allocate)
+
+    def use(count):
+        monkeypatch.setattr(network, "available_cpus", lambda: count)
+        widths.clear()
+        return widths
+
+    monkeypatch.setattr(sampling, "_split_run", counted)
+    # threads switch often, so that workers that shared a buffer would clash
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield use
+    finally:
+        sys.setswitchinterval(interval)
+
+
 class TestPairwiseBlocks:
     @pytest.mark.parametrize("n_samples", [1, 31, 33, 200])
-    @pytest.mark.parametrize("spec", [EmbeddingSpec("l2"), EmbeddingSpec("mag"),
-                                      EmbeddingSpec("phase")], ids=lambda s: s.name)
-    def test_matrix_equals_the_whole_batch_formula(self, spec, n_samples):
-        batch = random_batch(np.random.default_rng(n_samples), n_samples, steps=40)
-        metric = Pseudometric(spec)
-        vecs = metric.prepare_batch(batch)
-        assert np.iscomplexobj(vecs) == (spec.kind == "phase")
-        assert metric.pairwise(batch).tobytes() == reference_pairwise(vecs).tobytes()
+    @pytest.mark.parametrize("metric", SPLIT_METRICS, ids=lambda m: m.name)
+    def test_matrix_equals_the_whole_batch_formula(self, metric, n_samples, cpus):
+        batch = metric_batch(metric, np.random.default_rng(n_samples), n_samples)
+        for count in (1, 2):
+            widths = cpus(count)
+            vecs = metric.prepare_batch(batch)
+            assert vecs.dtype == metric.embedding.dtype
+            assert metric.pairwise(batch).tobytes() == reference_pairwise(vecs).tobytes()
+            assert max(widths) == min(count, n_samples)
 
-    def test_each_sample_is_centered_alone(self):
-        batch = random_batch(np.random.default_rng(7), 6)
-        centered = batch - batch.mean(axis=-1, keepdims=True)
-        for spec in ALL_EMBEDDINGS:
-            vecs = Pseudometric(spec).prepare_batch(batch)
-            expected = np.stack([embed(spec, c).ravel() for c in centered])
-            assert vecs.tobytes() == expected.tobytes()
+    def test_each_sample_is_centered_alone(self, cpus):
+        for metric in SPLIT_METRICS:
+            batch = metric_batch(metric, np.random.default_rng(7), 6)
+            lifted = batch if metric.lift is None else metric.lift.apply_batch(batch)
+            centered = lifted - lifted.mean(axis=-1, keepdims=True)
+            expected = np.stack([embed(metric.embedding, c).ravel() for c in centered])
+            for count in (1, 2):
+                widths = cpus(count)
+                assert metric.prepare_batch(batch).tobytes() == expected.tobytes(), metric.name
+                assert widths == [count]
 
 
 class TestPseudometricAxioms:
@@ -254,16 +324,14 @@ class TestSamplePair:
         probs = np.zeros(6)
         probs[3] = 1.0
         n_idx, m_idx = np.tril_indices(4, k=-1)
-        pairs = PairProbabilities(probs=probs, pair_n=n_idx, pair_m=m_idx, n_samples=4)
+        pairs = PairProbabilities(probs=probs, pair_n=n_idx, pair_m=m_idx)
         rng = np.random.default_rng(10)
         expected = (int(n_idx[3]), int(m_idx[3]))
         assert all(sample_pair(pairs, rng) == expected for _ in range(20))
 
     def test_uniform_frequencies(self):
         n_idx, m_idx = np.tril_indices(4, k=-1)
-        pairs = PairProbabilities(
-            probs=np.full(6, 1 / 6), pair_n=n_idx, pair_m=m_idx, n_samples=4
-        )
+        pairs = PairProbabilities(probs=np.full(6, 1 / 6), pair_n=n_idx, pair_m=m_idx)
         rng = np.random.default_rng(11)
         draws = rng.choice(pairs.n_pairs, p=pairs.probs, size=60000)
         freqs = np.bincount(draws, minlength=6) / 60000
@@ -273,7 +341,7 @@ class TestSamplePair:
         n_idx, m_idx = np.tril_indices(5, k=-1)
         probs = np.arange(1.0, 11.0)
         probs /= probs.sum()
-        pairs = PairProbabilities(probs=probs, pair_n=n_idx, pair_m=m_idx, n_samples=5)
+        pairs = PairProbabilities(probs=probs, pair_n=n_idx, pair_m=m_idx)
         rng1, rng2 = np.random.default_rng(3), np.random.default_rng(3)
         assert [sample_pair(pairs, rng1) for _ in range(10)] == [
             sample_pair(pairs, rng2) for _ in range(10)
@@ -282,7 +350,7 @@ class TestSamplePair:
     def test_indices_are_distinct(self):
         n_idx, m_idx = np.tril_indices(6, k=-1)
         probs = np.full(len(n_idx), 1.0 / len(n_idx))
-        pairs = PairProbabilities(probs=probs, pair_n=n_idx, pair_m=m_idx, n_samples=6)
+        pairs = PairProbabilities(probs=probs, pair_n=n_idx, pair_m=m_idx)
         rng = np.random.default_rng(12)
         for _ in range(50):
             n, m = sample_pair(pairs, rng)
@@ -297,7 +365,7 @@ class TestSamplePair:
             probs[source.integers(k)] += 1.0
             probs /= probs.sum()
             pairs = PairProbabilities(probs=probs, pair_n=np.arange(k),
-                                      pair_m=np.zeros(k, dtype=int), n_samples=k)
+                                      pair_m=np.zeros(k, dtype=int))
             mine, numpys = np.random.default_rng(case), np.random.default_rng(case)
             for _ in range(200):
                 assert sample_pair(pairs, mine)[0] == numpys.choice(k, p=probs)
@@ -308,7 +376,7 @@ class TestSamplePair:
     def test_bad_distribution_rejected(self, probs):
         n_idx, m_idx = np.tril_indices(3, k=-1)
         with pytest.raises(ValueError, match="pair probabilities"):
-            PairProbabilities(probs=np.array(probs), pair_n=n_idx, pair_m=m_idx, n_samples=3)
+            PairProbabilities(probs=np.array(probs), pair_n=n_idx, pair_m=m_idx)
 
 
 class TestEntropy:
@@ -436,6 +504,20 @@ class TestSelectMetrics:
             pair_probabilities(batch, targets, l2, l2)
         with pytest.raises(ValueError, match=match):
             select_metrics(batch, targets, [l2], [l2])
+
+    def test_choice_does_not_depend_on_the_cpu_count(self, cpus):
+        rng = np.random.default_rng(22)
+        batch = rng.random((70, 6, 40)) < 0.2
+        targets = random_batch(rng, 70, steps=16)
+        cands_in = [Pseudometric(spec, LIFT) for spec in ALL_EMBEDDINGS]
+        cands_out = [Pseudometric(spec) for spec in ALL_EMBEDDINGS]
+        chosen = []
+        for count in (1, 2):
+            widths = cpus(count)
+            got_in, got_out, pairs = select_metrics(batch, targets, cands_in, cands_out)
+            chosen.append((got_in.name, got_out.name, pairs.probs.tobytes()))
+            assert max(widths) == count
+        assert chosen[0] == chosen[1]
 
     def test_empty_candidates_rejected(self):
         rng = np.random.default_rng(17)
