@@ -47,12 +47,10 @@ from .network import (
 from .output import (
     DelayEstimate,
     GramAccumulator,
-    SupportCandidates,
     accumulate_normal_equations,
     condition_bound_diagnostic,
     estimate_delays,
     lambda_grid,
-    residual_for_candidate,
     select_supports,
     solve_with_lambda_search,
     support_candidates,

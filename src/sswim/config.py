@@ -11,12 +11,13 @@ import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
+import numpy as np
 import yaml
 
 from .datasets import SYNTH_KINDS, check_ratios, check_series_length
 from .errors import ConfigError
 from .kernels import KernelFamily
-from .output import SupportCandidates, lambda_grid, support_candidates
+from .output import lambda_grid, support_candidates
 from .sampling import EmbeddingSpec
 
 
@@ -50,10 +51,10 @@ class SswimConfig:
     lambda_count: int = 32
     lambda_min: float = 1e-5
     lambda_max: float = 0.5
-    batch_size: int = 256
     max_retries: int = 8
 
     def __post_init__(self):
+        _check_fields(self)
         if self.weight_criterion not in ("dist", "dot", "random"):
             raise ConfigError(f"unknown weight criterion: {self.weight_criterion!r}")
         if self.normalizer not in ("ms", "fl"):
@@ -62,12 +63,6 @@ class SswimConfig:
             raise ConfigError(f"unknown metric mode: {self.metric_mode!r}")
         if self.delay_aggregation not in ("median", "min"):
             raise ConfigError(f"unknown delay aggregation: {self.delay_aggregation!r}")
-        for f in fields(self):   # annotations are strings: "int", "float | None", ...
-            value = getattr(self, f.name)
-            if f.type == "int" and not _is_int(value):
-                raise ConfigError(f"{f.name} must be an integer, not {value!r}")
-            if f.type.startswith("float") and value is not None and not _is_finite(value):
-                raise ConfigError(f"{f.name} must be a finite number, not {value!r}")
         if self.subbatch < 2:
             raise ConfigError("subbatch must be at least 2")
         # the rules normalize_ms, normalize_fl and temporal_assignment apply
@@ -82,8 +77,6 @@ class SswimConfig:
             raise ConfigError("need 0 < sigma_min <= sigma_max")
         if self.sigma_cycle < 2:
             raise ConfigError("sigma_cycle: support cycle length must be at least 2")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be non-negative")
         for name in ("epsilon", "sc_epsilon"):
@@ -108,7 +101,7 @@ class SswimConfig:
         except ValueError as exc:
             raise ConfigError(f"bad lambda grid: {exc}") from exc
 
-    def support_grid(self, horizon: int) -> SupportCandidates:
+    def support_grid(self, horizon: int) -> np.ndarray:
         """Output-support candidates; ``support_max`` defaults to 2 * horizon."""
         hi = 2.0 * horizon if self.support_max is None else self.support_max
         return support_candidates(self.support_min, hi, self.support_alpha, self.support_count)
@@ -118,16 +111,13 @@ class SswimConfig:
 class ModelArch:
     """Network architecture: hidden widths and kernel family names."""
 
-    hidden: tuple = (250,)
+    hidden: tuple[int, ...] = (250,)
     pspk: str = "hat"
     rfk: str = "exp"
     output_pspk: str | None = None   # defaults to the hidden family
 
     def __post_init__(self):
-        self.hidden = tuple(self.hidden)
-        for n in self.hidden:
-            if not _is_int(n):
-                raise ConfigError(f"hidden layer widths must be integers, not {n!r}")
+        _check_fields(self)
         if not self.hidden or any(n < 1 for n in self.hidden):
             raise ConfigError("hidden layer widths must be positive")
         for name in (self.pspk, self.rfk, self.output_pspk):
@@ -151,6 +141,7 @@ class DatasetConfig:
     ratios: tuple = (0.7, 0.2, 0.1)
 
     def __post_init__(self):
+        _check_fields(self)
         if (self.csv is None) == (self.synth_kind is None):
             raise ConfigError("dataset needs exactly one of 'csv' or 'synth'")
         if self.csv is not None and not os.path.exists(self.csv):
@@ -168,8 +159,8 @@ class DatasetConfig:
                 check_series_length(self.steps, self.observation + self.horizon)
             except ValueError as exc:
                 raise ConfigError(f"dataset.synth steps: {exc}") from exc
-            if not 0.0 <= self.noise_sigma < math.inf:
-                raise ConfigError("dataset.synth noise_sigma must be non-negative and finite")
+            if self.noise_sigma < 0.0:
+                raise ConfigError("dataset.synth noise_sigma must be non-negative")
         self.ratios = tuple(float(r) for r in self.ratios)
         try:
             check_ratios(self.ratios)
@@ -181,18 +172,15 @@ class DatasetConfig:
 class AblationConfig:
     criteria: tuple = ("dot",)
     normalizers: tuple = ("ms",)
-    neuron_counts: tuple = (250,)
+    neuron_counts: tuple[int, ...] = (250,)
 
     def __post_init__(self):
+        _check_fields(self)
         self.criteria = tuple(self.criteria)
         self.normalizers = tuple(self.normalizers)
-        self.neuron_counts = tuple(self.neuron_counts)
         for name in ("criteria", "normalizers", "neuron_counts"):
             if not getattr(self, name):
                 raise ConfigError(f"ablation {name} must not be empty")
-        for n in self.neuron_counts:
-            if not _is_int(n):
-                raise ConfigError(f"ablation neuron_counts must be integers, not {n!r}")
         if min(self.neuron_counts) < 1:
             raise ConfigError("ablation neuron_counts must be at least 1")
 
@@ -202,7 +190,7 @@ class RunConfig:
     dataset: DatasetConfig = None
     arch: ModelArch = field(default_factory=ModelArch)
     sswim: SswimConfig = field(default_factory=SswimConfig)
-    seeds: tuple = (1,)
+    seeds: tuple[int, ...] = (1,)
     out_dir: str = "results"
     threads: int = 1
     ablation: AblationConfig | None = None
@@ -210,15 +198,11 @@ class RunConfig:
     def __post_init__(self):
         if self.dataset is None:
             raise ConfigError("a run config needs a 'dataset' section")
-        if not isinstance(self.seeds, (list, tuple)) or not all(
-            _is_int(s) for s in self.seeds
-        ):
-            raise ConfigError("run seeds must be a list of integers")
-        self.seeds = tuple(self.seeds)
+        _check_fields(self)
         if not self.seeds:
             raise ConfigError("run seeds must not be empty")
-        if not _is_int(self.threads) or self.threads < 1:
-            raise ConfigError("run threads must be an integer of at least 1")
+        if self.threads < 1:
+            raise ConfigError("run threads must be at least 1")
         try:
             self.sswim.support_grid(self.dataset.horizon)
         except (TypeError, ValueError) as exc:
@@ -234,6 +218,25 @@ class RunConfig:
                         replace(self.sswim, **{key: value})
                     except ConfigError as exc:
                         raise ConfigError(f"ablation {name}: {exc}") from exc
+
+
+def _check_fields(config) -> None:
+    """Check each field of a config dataclass against its annotation, a
+    string since annotations are postponed: ``int``, ``float``, ``float |
+    None`` (finite numbers) and ``tuple[int, ...]``, which takes a list and
+    is stored as a tuple. The class checks the other fields itself."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int" and not _is_int(value):
+            raise ConfigError(f"{f.name} must be an integer, not {value!r}")
+        if f.type.startswith("float") and not (
+            _is_finite(value) or (value is None and f.type == "float | None")
+        ):
+            raise ConfigError(f"{f.name} must be a finite number, not {value!r}")
+        if f.type == "tuple[int, ...]":
+            if not isinstance(value, (list, tuple)) or not all(_is_int(n) for n in value):
+                raise ConfigError(f"{f.name} must be a list of integers, not {value!r}")
+            setattr(config, f.name, tuple(value))
 
 
 def _is_int(value) -> bool:

@@ -104,15 +104,7 @@ def estimate_delays(mask: np.ndarray, targets: np.ndarray, pspk_spec: KernelSpec
 # support candidates and the residual search
 
 
-@dataclass
-class SupportCandidates:
-    values: np.ndarray
-    alpha: float
-    bounds: tuple
-    count: int
-
-
-def support_candidates(lo: float, hi: float, alpha: float, count: int) -> SupportCandidates:
+def support_candidates(lo: float, hi: float, alpha: float, count: int) -> np.ndarray:
     """Power-law spaced candidates between ``lo`` and almost ``hi``.
 
     The grid is linear in x**(1/alpha): the first point equals ``lo``
@@ -126,8 +118,7 @@ def support_candidates(lo: float, hi: float, alpha: float, count: int) -> Suppor
         raise ValueError("need at least two candidates")
     m = np.arange(1, count + 1)
     frac = (m - 1) / count
-    values = ((1.0 - frac) * lo ** (1.0 / alpha) + frac * hi ** (1.0 / alpha)) ** alpha
-    return SupportCandidates(values=values, alpha=alpha, bounds=(lo, hi), count=count)
+    return ((1.0 - frac) * lo ** (1.0 / alpha) + frac * hi ** (1.0 / alpha)) ** alpha
 
 
 def _check_buffer(buf: np.ndarray, size: int, name: str) -> None:
@@ -222,21 +213,8 @@ def projection_residuals(design: np.ndarray, stacked_targets: np.ndarray) -> np.
     return np.sum((stacked_targets - design @ coef) ** 2, axis=0)
 
 
-def residual_for_candidate(mask: np.ndarray, targets: np.ndarray,
-                           tau_bar: float, sigma_c: float,
-                           pspk_spec: KernelSpec) -> np.ndarray:
-    """Optimal least-squares residual norms per output neuron for one support.
-
-    ``mask`` is a boolean (samples, neurons, steps) array and ``targets``
-    (samples, d_out, H) on its last H steps.
-    """
-    design = assemble_design(mask, PlacedKernel(pspk_spec, tau_bar, sigma_c),
-                             _target_window(mask, targets))
-    return projection_residuals(design, _stack_targets(targets))
-
-
 def select_supports(mask: np.ndarray, targets: np.ndarray, delays: DelayEstimate,
-                    candidates: SupportCandidates, pspk_spec: KernelSpec) -> np.ndarray:
+                    candidates: np.ndarray, pspk_spec: KernelSpec) -> np.ndarray:
     """Residual-minimizing support per output neuron over the candidate grid.
 
     ``mask`` is a boolean (samples, neurons, steps) array and ``targets``
@@ -247,8 +225,8 @@ def select_supports(mask: np.ndarray, targets: np.ndarray, delays: DelayEstimate
     ||y||^2, the rounding error of a residual computed from a design of
     that shape.
     """
-    residuals = np.empty((candidates.count, targets.shape[1]))
-    keys = [(delays.aggregate, float(value)) for value in candidates.values]
+    residuals = np.empty((len(candidates), targets.shape[1]))
+    keys = [(delays.aggregate, float(value)) for value in candidates]
 
     def score(c, design, stacked, n_samples):
         residuals[c] = projection_residuals(design, stacked)
@@ -258,7 +236,7 @@ def select_supports(mask: np.ndarray, targets: np.ndarray, delays: DelayEstimate
     n_rows, n_features = stacked.shape[0], mask.shape[1] + 1
     tol = max(n_rows, n_features) * np.finfo(float).eps * np.sum(stacked**2, axis=0)
     tied = residuals <= residuals.min(axis=0) + tol
-    return candidates.values[np.argmax(tied, axis=0)]
+    return candidates[np.argmax(tied, axis=0)]
 
 
 # ---------------------------------------------------------------------------

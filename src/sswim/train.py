@@ -6,6 +6,12 @@ builds the hidden layers, then identifies output delays, searches kernel
 supports, and solves the regularized output weights on the full training
 split with the regularization strength validated on the validation split.
 Everything is deterministic given the seed.
+
+The weights phase simulates the hidden stack once per split into one
+boolean spike mask, reusing the initialization windows' masks, and sums
+the normal equations over fixed views of ``FIT_SAMPLES`` samples of it.
+The eval phase reads the same masks for the spike counts and the train and
+validation read-outs.
 """
 
 from __future__ import annotations
@@ -122,33 +128,43 @@ def _candidate_metrics(cfg: SswimConfig, lift: VanRossumLift | None):
     return cands_in, cands_out
 
 
-def _collect_split_spikes(layers, dataset: ForecastDataset, starts,
-                          batch_size: int, total_steps: int, simulated=None) -> list:
-    """Simulate the hidden stack over a split once; cache (mask, targets)
-    per batch so the normal equations, diagnostics and predictions all
-    reuse the same spikes.
+# Samples per term of the output fit's normal equations: each Gram matrix
+# sums one design product per view of this many samples, in split order, so
+# the cut fixes how the sum rounds. Every pinned model was fitted with 256,
+# and a view bounds each thread's design buffer.
+FIT_SAMPLES = 256
 
-    ``simulated`` is None or (rows, masks): the sorted positions in
-    ``starts`` of windows whose last-layer masks are known already, and
-    those masks. They are placed at their rows and not simulated again; a
-    window's spikes do not depend on the batch it was simulated in."""
-    row_of = np.full(len(starts), -1)
-    if simulated is not None:
-        known_rows, known = simulated
-        row_of[known_rows] = np.arange(len(known_rows))
-    cached = []
-    for lo in range(0, len(starts), batch_size):
-        batch = starts[lo: lo + batch_size]
-        rows = row_of[lo: lo + batch_size]
-        new = rows < 0
-        mask = np.empty((len(batch), layers[-1].n_neurons, total_steps), dtype=bool)
-        if new.any():
-            dense = _pad_inputs(dataset.input_batch(batch[new]), total_steps)
-            mask[new] = simulate_hidden_stack(layers, dense)[-1]
-        if not new.all():
-            mask[~new] = known[rows[~new]]
-        cached.append((mask, dataset.target_batch(batch)))
-    return cached
+
+def _split_spikes(layers, dataset: ForecastDataset, starts, total_steps: int,
+                  known=None) -> tuple[np.ndarray, np.ndarray]:
+    """The last hidden layer's boolean (samples, neurons, steps) spike mask
+    over a split, simulated once, and the split's targets.
+
+    ``known`` is None or (rows, mask): the positions in ``starts`` of
+    windows whose masks are known already, and those masks. They are placed
+    at their rows and not simulated again; a window's spikes do not depend
+    on the batch it is simulated in."""
+    targets = dataset.target_batch(starts)
+    rest = np.ones(len(starts), dtype=bool)
+    if known is not None:
+        rest[known[0]] = False
+        if not rest.any():
+            return known[1], targets
+    # the rest is simulated before the whole mask is made, so the forward
+    # pass's buffers are freed by then
+    dense = _pad_inputs(dataset.input_batch(starts[rest]), total_steps)
+    simulated = simulate_hidden_stack(layers, dense)[-1]
+    if known is None:
+        return simulated, targets
+    mask = np.empty((len(starts),) + simulated.shape[1:], dtype=bool)
+    mask[known[0]], mask[rest] = known[1], simulated
+    return mask, targets
+
+
+def _fit_views(mask: np.ndarray, targets: np.ndarray) -> list:
+    """(mask, targets) views of ``FIT_SAMPLES`` samples each, in split order."""
+    return [(mask[lo: lo + FIT_SAMPLES], targets[lo: lo + FIT_SAMPLES])
+            for lo in range(0, len(mask), FIT_SAMPLES)]
 
 
 def predict_batch(model: SnnModel, inputs: np.ndarray,
@@ -166,12 +182,11 @@ def predict_batch(model: SnnModel, inputs: np.ndarray,
     return np.concatenate(preds, axis=0)
 
 
-def evaluate_split(model: SnnModel, dataset: ForecastDataset, split: str,
-                   batch_size: int = 256) -> float:
+def evaluate_split(model: SnnModel, dataset: ForecastDataset, split: str) -> float:
     starts = dataset.starts[split]
     if len(starts) == 0:
         raise ValueError(f"split {split!r} has no windows")
-    preds = predict_batch(model, dataset.input_batch(starts), batch_size)
+    preds = predict_batch(model, dataset.input_batch(starts))
     return rse(preds, dataset.target_batch(starts))
 
 
@@ -260,27 +275,20 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
         )
 
     with _phase("weights", timings):
-        train_cache = _collect_split_spikes(
-            hidden_layers, dataset, train_starts, cfg.batch_size, total_steps,
-            simulated=(pick, masks_xi),
-        )
-        train_ne = accumulate_normal_equations(
-            train_cache, delays.per_neuron, supports, output_pspk
-        )
-        valid_starts = dataset.starts["valid"]
-        lambda_source = "valid"
-        if len(valid_starts) == 0:
-            valid_cache = train_cache
-            lambda_source = "train"
-        else:
-            valid_cache = _collect_split_spikes(
-                hidden_layers, dataset, valid_starts, cfg.batch_size, total_steps
-            )
-        valid_ne = accumulate_normal_equations(
-            valid_cache, delays.per_neuron, supports, output_pspk
-        )
+        splits = {"train": _split_spikes(hidden_layers, dataset, train_starts, total_steps,
+                                         known=(pick, masks_xi))}
+        if len(dataset.starts["valid"]):
+            splits["valid"] = _split_spikes(hidden_layers, dataset, dataset.starts["valid"],
+                                            total_steps)
+        lambda_source = "valid" if "valid" in splits else "train"
+        equations = {
+            split: accumulate_normal_equations(
+                _fit_views(mask, targets), delays.per_neuron, supports, output_pspk)
+            for split, (mask, targets) in splits.items()
+        }
         lams = lambda_grid(cfg.lambda_count, cfg.lambda_min, cfg.lambda_max)
-        weights, bias, chosen = solve_with_lambda_search(train_ne, valid_ne, lams)
+        weights, bias, chosen = solve_with_lambda_search(
+            equations["train"], equations[lambda_source], lams)
         report.chosen_lambda = [float(lam) for lam in chosen]
 
         out_layer = LayerParams(
@@ -301,9 +309,9 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
         )
 
     with _phase("eval", timings):
-        counts_sq = np.concatenate([m.sum(axis=2) for m, _ in train_cache], axis=0)
+        counts_sq = splits["train"][0].sum(axis=2)
         for i in range(d_out):
-            acc, _ = train_ne.accumulator_for(i)
+            acc, _ = equations["train"].accumulator_for(i)
             taps = out_layer.placed_kernel(i).taps(total_steps)
             report.condition_bounds.append(
                 condition_bound_diagnostic(
@@ -312,19 +320,13 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
                 )
             )
         model.metadata["condition_bounds"] = [float(b) for b in report.condition_bounds]
-        for split, cache in (("train", train_cache),
-                             ("valid", valid_cache if lambda_source == "valid" else [])):
-            if cache:
-                preds = np.concatenate(
-                    [output_voltages_batch(out_layer, m, model.grid.window) for m, _ in cache]
-                )
-                targets = np.concatenate([t for _, t in cache])
-                report.rse[split] = rse(preds, targets)
+        for split, (mask, targets) in splits.items():
+            report.rse[split] = rse(output_voltages_batch(out_layer, mask, model.grid.window),
+                                    targets)
+        del splits, masks_xi   # dead from here on: the test prediction reuses their memory
         test_starts = dataset.starts["test"]
         if len(test_starts):
-            report.test_predictions = predict_batch(
-                model, dataset.input_batch(test_starts), cfg.batch_size
-            )
+            report.test_predictions = predict_batch(model, dataset.input_batch(test_starts))
             report.rse["test"] = rse(report.test_predictions, dataset.target_batch(test_starts))
 
     report.total_seconds = time.perf_counter() - t_start

@@ -33,7 +33,7 @@ from sswim.output import (
     assemble_design,
     estimate_delays,
     lambda_grid,
-    residual_for_candidate,
+    projection_residuals,
     select_supports,
     solve_with_lambda_search,
     support_candidates,
@@ -224,13 +224,16 @@ def test_criterion_05_qr_residual_identity():
             targets = rng.normal(size=(n_samples, 2, 8))
             tau = float(rng.uniform(0, 6))
             sigma = float(rng.uniform(2, 8))
-            got = residual_for_candidate(masks_of(spike_sets), targets, tau, sigma,
-                                         pspk(KernelFamily.HAT))
+            stacked = targets.transpose(0, 2, 1).reshape(-1, 2)
+            got = projection_residuals(
+                assemble_design(masks_of(spike_sets),
+                                PlacedKernel(pspk(KernelFamily.HAT), tau, sigma), (16, 24)),
+                stacked,
+            )
             design = assemble_design(
                 np.stack([s.to_dense() for s in spike_sets]),
                 PlacedKernel(pspk(KernelFamily.HAT), tau, sigma), (16, 24),
             )
-            stacked = targets.transpose(0, 2, 1).reshape(-1, 2)
             for i in range(2):
                 sol, *_ = np.linalg.lstsq(design, stacked[:, i], rcond=None)
                 ref = float(np.sum((design @ sol - stacked[:, i]) ** 2))
@@ -303,7 +306,7 @@ def test_criterion_08_planted_support_recovery():
         hits = 0
         for k in range(10):
             cell = int(rng.integers(5, 25))
-            sigma_star = float(cands.values[cell])
+            sigma_star = float(cands[cell])
             spike_sets = random_spike_sets(rng, 20, 4, total, 4, 9)
             weights = rng.normal(size=(1, 4))
             tau = float(rng.integers(0, 6))
@@ -312,7 +315,7 @@ def test_criterion_08_planted_support_recovery():
             delays = DelayEstimate(per_neuron=np.array([tau]), aggregate=tau)
             got = select_supports(masks_of(spike_sets), targets, delays, cands,
                                   pspk(KernelFamily.HAT))
-            picked = int(np.argmin(np.abs(cands.values - got[0])))
+            picked = int(np.argmin(np.abs(cands - got[0])))
             if abs(picked - cell) <= 1:
                 hits += 1
         assert hits >= 8, f"only {hits}/10 planted supports recovered"

@@ -61,7 +61,7 @@ BAD_VALUES = [
     ("sswim", "lambda_count: 0", "lambda grid"),
     ("sswim", "lambda_min: 0.0", "lambda grid"),
     ("sswim", "lambda_max: 1.0e-6", "lambda grid"),
-    ("sswim", "batch_size: 0", "batch_size"),
+    ("sswim", "batch_size: 256", "batch_size"),   # a removed key: unknown
     ("sswim", "max_retries: -1", "max_retries"),
     ("sswim", "epsilon: 0.0", "epsilon"),
     ("sswim", "sc_epsilon: -1.0", "sc_epsilon"),
@@ -73,7 +73,6 @@ BAD_VALUES = [
     ("sswim", "sigma_cycle: 3.5", "sigma_cycle"),
     ("sswim", "support_count: 2.5", "support_count"),
     ("sswim", "lambda_count: 6.0", "lambda_count"),
-    ("sswim", "batch_size: 2.5", "batch_size"),
     ("sswim", "max_retries: 1.5", "max_retries"),
     ("sswim", "max_retries: true", "max_retries"),
     ("sswim", "lift_support: -1.0", "lift_support"),
@@ -81,6 +80,13 @@ BAD_VALUES = [
     ("sswim", "lift_support: .inf", "lift_support"),
     ("sswim", "support_max: 0", "support grid"),
     ("dataset", "stride: 0", "stride"),
+    ("dataset", "observation: 32.5", "observation"),
+    ("dataset", "observation: .nan", "observation"),
+    ("dataset", "horizon: 8.0", "horizon"),
+    ("dataset", "stride: 1.5", "stride"),
+    ("dataset", "synth: {kind: multisine, variables: 2, steps: 400.5, seed: 7}", "steps"),
+    ("dataset", "synth: {kind: multisine, variables: 2.5, steps: 420, seed: 7}", "variables"),
+    ("dataset", "synth: {kind: multisine, variables: 2, steps: 420, seed: 1.5}", "seed"),
     ("dataset", "ratios: [0.5, 0.5, 0.5]", "ratios"),
     ("dataset", "synth: {kind: bogus, variables: 2, steps: 420, seed: 7}", "kind"),
     ("dataset", "synth: {kind: multisine, variables: 0, steps: 420, seed: 7}", "variables"),

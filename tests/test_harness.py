@@ -178,7 +178,7 @@ def small_dataset(seed=7, steps=420, variables=2):
 def small_cfg(**overrides):
     defaults = dict(
         subbatch=60, sigma_min=3.0, sigma_max=12.0, sigma_cycle=5,
-        support_count=10, lambda_count=8, batch_size=64,
+        support_count=10, lambda_count=8,
     )
     defaults.update(overrides)
     return SswimConfig(**defaults)
@@ -211,6 +211,14 @@ class TestTrainSswim:
         assert report.spike_counts.min() >= 1
         assert len(report.condition_bounds) == ds.n_variables
         assert report.metric_in and report.metric_out
+
+    def test_without_validation_windows_lambda_is_chosen_on_train(self):
+        ds = make_windows(synth_dataset("multisine", 2, 420, seed=7), obs_len=24, horizon=8,
+                          ratios=(0.8, 0.0, 0.2))
+        model, report = train_sswim(ds, ModelArch(hidden=(25,)), small_cfg(), seed=3)
+        assert model.metadata["lambda_source"] == "train"
+        assert set(report.rse) == {"train", "test"}
+        assert np.all(np.isfinite(model.layers[-1].weights))
 
     @pytest.mark.parametrize("target, phase, exc", [
         ("estimate_delays", "delays", ValueError("injected")),

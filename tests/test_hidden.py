@@ -499,17 +499,3 @@ class TestSplitHiddenBuild:
             train_sswim(dataset, ModelArch(hidden=(25,)), cfg, seed=11)
         assert info.value.phase == "hidden_build"
         assert threads and threading.main_thread() not in threads
-
-
-def test_hidden_layers_do_not_depend_on_the_batch_size():
-    # 270 initialization windows: batch sizes 64, 100 and 256 cut them into
-    # blocks of other sizes, and the layer build must not see any of them
-    dataset = make_windows(synth_dataset("multisine", 2, 420, seed=7), obs_len=24, horizon=8)
-    layers = set()
-    for batch_size in (64, 100, 256):
-        cfg = SswimConfig(subbatch=270, sigma_min=3.0, sigma_max=12.0, sigma_cycle=5,
-                          support_count=8, lambda_count=6, batch_size=batch_size)
-        model, _ = train_sswim(dataset, ModelArch(hidden=(25,)), cfg, seed=11)
-        layers.add(b"".join(a.tobytes() for lay in model.layers[:-1]
-                            for a in (lay.weights, lay.bias, lay.spike_cost)))
-    assert len(layers) == 1

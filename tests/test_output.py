@@ -20,7 +20,6 @@ from sswim.output import (
     estimate_delays,
     lambda_grid,
     projection_residuals,
-    residual_for_candidate,
     select_supports,
     solve_with_lambda_search,
     support_candidates,
@@ -150,16 +149,16 @@ class TestEstimateDelays:
 class TestSupportCandidates:
     def test_first_value_is_lower_bound(self):
         got = support_candidates(1.0, 48.0, 1.5, 30)
-        assert got.values[0] == 1.0
+        assert got[0] == 1.0
 
     def test_linear_spacing_case(self):
         got = support_candidates(0.0, 10.0, 1.0, 10)
-        assert got.values[5] == pytest.approx(5.0)
+        assert got[5] == pytest.approx(5.0)
 
     def test_defaults_are_increasing(self):
         got = support_candidates(1.0, 2 * 24.0, 1.5, 30)
-        assert np.all(np.diff(got.values) > 0)
-        assert got.values[-1] < 48.0  # the formula never reaches the bound
+        assert np.all(np.diff(got) > 0)
+        assert got[-1] < 48.0  # the formula never reaches the bound
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
@@ -183,7 +182,8 @@ class TestProjectionResiduals:
         # target is orthogonal to it
         spikes = masks_of([SpikeTrainSet(trains=[np.array([], int)] * 3, n_steps=24)])
         y = np.array([1.0, -1.0] * 4)[None, None, :]  # mean-free over 8 steps
-        res = residual_for_candidate(spikes, y, 2.0, 4.0, HAT)
+        design = assemble_design(spikes, PlacedKernel(HAT, 2.0, 4.0), (16, 24))
+        res = projection_residuals(design, y.reshape(-1, 1))
         assert res[0] == pytest.approx(float(np.sum(y**2)), rel=1e-12)
 
     def test_matches_dense_least_squares(self):
@@ -191,12 +191,15 @@ class TestProjectionResiduals:
         for _ in range(20):
             spike_sets = random_spike_sets(rng, 2, 3, 24, lo=3, hi=6)
             targets = rng.normal(size=(2, 2, 8))
-            res = residual_for_candidate(masks_of(spike_sets), targets, 1.0, 4.0, HAT)
+            stacked = targets.transpose(0, 2, 1).reshape(-1, 2)
+            res = projection_residuals(
+                assemble_design(masks_of(spike_sets), PlacedKernel(HAT, 1.0, 4.0), (16, 24)),
+                stacked,
+            )
             design = assemble_design(
                 np.stack([s.to_dense() for s in spike_sets]),
                 PlacedKernel(HAT, 1.0, 4.0), (16, 24),
             )
-            stacked = targets.transpose(0, 2, 1).reshape(-1, 2)
             for i in range(2):
                 sol, *_ = np.linalg.lstsq(design, stacked[:, i], rcond=None)
                 dense_res = float(np.sum((design @ sol - stacked[:, i]) ** 2))
@@ -264,11 +267,11 @@ class TestGramResiduals:
                                     PlacedKernel(HAT, delays.aggregate, sigma), window),
                     stacked,
                 )
-                for sigma in cands.values
+                for sigma in cands
             ])
             tol = max(stacked.shape[0], mask.shape[1] + 1) * eps * np.sum(stacked**2, axis=0)
             first_tied = np.argmax(ref <= ref.min(axis=0) + tol, axis=0)
-            np.testing.assert_array_equal(got, cands.values[first_tied])
+            np.testing.assert_array_equal(got, cands[first_tied])
 
 
 def test_import_leaves_scipy_unloaded():
@@ -287,13 +290,13 @@ class TestSelectSupports:
         obs_len, horizon = 32, 24
         total = obs_len + horizon
         cands = support_candidates(1.0, 2.0 * horizon, 1.5, 30)
-        sigma_star = float(cands.values[12])
+        sigma_star = float(cands[12])
         spike_sets = random_spike_sets(rng, 25, 4, total)
         w = rng.normal(size=(1, 4))
         targets = planted_targets(spike_sets, w, 4.0, sigma_star, (obs_len, total))
         delays = DelayEstimate(per_neuron=np.array([4.0]), aggregate=4.0)
         got = select_supports(masks_of(spike_sets), targets, delays, cands, HAT)
-        cell = np.searchsorted(cands.values, got[0])
+        cell = np.searchsorted(cands, got[0])
         assert abs(cell - 12) <= 1
 
     def test_constant_targets_tie_to_smallest(self):
@@ -303,18 +306,16 @@ class TestSelectSupports:
         cands = support_candidates(1.0, 16.0, 1.5, 8)
         delays = DelayEstimate(per_neuron=np.zeros(2), aggregate=0.0)
         got = select_supports(masks_of(spike_sets), targets, delays, cands, HAT)
-        np.testing.assert_array_equal(got, [cands.values[0], cands.values[0]])
+        np.testing.assert_array_equal(got, [cands[0], cands[0]])
 
     def test_single_candidate_returned(self):
         rng = np.random.default_rng(55)
         spike_sets = random_spike_sets(rng, 4, 3, 24)
         targets = rng.normal(size=(4, 1, 8))
-        cands = support_candidates(2.0, 16.0, 1.5, 2)
-        cands.values = cands.values[:1]
-        cands.count = 1
+        cands = support_candidates(2.0, 16.0, 1.5, 2)[:1]
         delays = DelayEstimate(per_neuron=np.zeros(1), aggregate=0.0)
         got = select_supports(masks_of(spike_sets), targets, delays, cands, HAT)
-        assert got[0] == cands.values[0]
+        assert got[0] == cands[0]
 
 
 class TestGramAccumulator:
