@@ -15,6 +15,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def load_csv(path, variables: int | None = None) -> np.ndarray:
@@ -86,15 +87,19 @@ class ForecastDataset:
     def n_windows(self, split: str) -> int:
         return len(self.starts[split])
 
+    def _windows(self, starts, offset: int, length: int) -> np.ndarray:
+        """(samples, variables, length) copies of the series from each start
+        plus ``offset``, gathered at once; no starts give no samples."""
+        view = sliding_window_view(self.series, length, axis=1).swapaxes(0, 1)
+        return view[np.asarray(starts, dtype=np.intp) + offset]
+
     def input_batch(self, starts) -> np.ndarray:
         """(samples, variables, obs_len) input windows."""
-        return np.stack([self.series[:, s: s + self.obs_len] for s in starts])
+        return self._windows(starts, 0, self.obs_len)
 
     def target_batch(self, starts) -> np.ndarray:
         """(samples, variables, horizon) target windows."""
-        return np.stack(
-            [self.series[:, s + self.obs_len: s + self.window_len] for s in starts]
-        )
+        return self._windows(starts, self.obs_len, self.horizon)
 
 
 def check_ratios(ratios) -> None:

@@ -16,12 +16,17 @@ Each hidden layer is built without gradients in four moves:
 
 Given its draw, a neuron depends on no other, so moves 2-4 run on every
 available CPU through ``network._split_run``, one contiguous range of
-neurons per thread, each with its own ``_NeuronScratch``. The random
-stream stays serial: the calling thread makes every neuron's first draw in
-neuron order before any thread starts, and a neuron that must be retried
-sends the layer from it onwards back to the serial loop, with the stream
-rewound to its draw. Every product is the one the serial loop makes, so
-layers, and model files, are bit for bit the same on any CPU count.
+neurons per thread, each with its own ``_NeuronScratch``. A range walks
+its neurons in blocks of ``NEURON_BLOCK``: move 2 gives each neuron of a
+block its direction, one product per sample then makes the input sums of
+the whole block, and moves 3-4 normalize its neurons one by one. So the
+initialization batch is read once per block, not once per neuron. The
+random stream stays serial: the calling thread makes every neuron's first
+draw in neuron order before any thread starts, and a neuron that must be
+retried sends the layer from it onwards back to the serial loop, one
+neuron per block product, with the stream rewound to its draw. Every
+product has the shape the serial loop gives it, so layers, and model
+files, are bit for bit the same on any CPU count.
 """
 
 from __future__ import annotations
@@ -224,15 +229,25 @@ def normalize_fl(stats: VoltageStats, z: float, sc_eps: float = 1e-9) -> Normali
 # layer assembly
 
 
+# Neurons per drive product. Every product has this many rows, the rows of
+# a short block zero, and neuron i takes row ``i % NEURON_BLOCK`` whichever
+# thread's range it falls in, because OpenBLAS picks its gemm kernel by
+# matrix size: a product of another row count could round a neuron's drive
+# differently in the last bit, and its weights would then depend on the
+# thread split or on the neurons that share its block.
+NEURON_BLOCK = 16
+
+
 @dataclass
 class _NeuronScratch:
-    """Buffers one thread reuses for every neuron it builds."""
+    """Buffers one thread reuses for every block of neurons it builds."""
 
-    psi: np.ndarray     # (2, inputs, steps): the pair's responses
+    psi: np.ndarray     # (2, inputs, steps): a pair's responses
     work: np.ndarray    # the criterion's intermediate, flat
     crit: np.ndarray    # (inputs, inputs): the criterion matrix
-    drive: np.ndarray   # (samples, steps): the weighted input sums
-    trace: np.ndarray   # (samples, steps): the voltage traces
+    rows: np.ndarray    # (NEURON_BLOCK, inputs): the block's unit directions
+    drives: np.ndarray  # (NEURON_BLOCK, samples, steps): their input sums
+    trace: np.ndarray   # (samples, steps): one neuron's voltage traces
 
     @classmethod
     def allocate(cls, n_samples: int, n_prev: int, n_steps: int) -> "_NeuronScratch":
@@ -240,38 +255,40 @@ class _NeuronScratch:
             psi=np.empty((2, n_prev, n_steps)),
             work=np.empty(n_prev * max(n_prev, n_steps)),
             crit=np.empty((n_prev, n_prev)),
-            drive=np.empty((n_samples, n_steps)),
+            rows=np.empty((NEURON_BLOCK, n_prev)),
+            drives=np.empty((NEURON_BLOCK, n_samples, n_steps)),
             trace=np.empty((n_samples, n_steps)),
         )
 
 
-def _solve_neuron(drawn, latents: np.ndarray, conv: np.ndarray, cfg,
-                  scratch: _NeuronScratch):
-    """Unit weight direction and normalization of one neuron from its draw:
-    a sample pair, or for the random criterion the direction itself.
-
-    Raises TrivialPairError or DegenerateNeuronError when the draw gives no
-    usable neuron, for the caller to retry with a fresh one.
-    """
-    n_prev, n_steps = latents.shape[1:]
+def _direction(drawn, latents: np.ndarray, conv: np.ndarray, cfg,
+               scratch: _NeuronScratch) -> np.ndarray:
+    """Unit weight direction of one neuron from its draw: a sample pair, or
+    for the random criterion the direction itself. Raises TrivialPairError
+    when the pair gives no criterion."""
     if cfg.weight_criterion == "random":
-        w_dir = drawn
-    else:
-        psi1, psi2 = scratch.psi
-        np.matmul(latents[drawn[0]], conv.T, out=psi1)
-        np.matmul(latents[drawn[1]], conv.T, out=psi2)
-        if cfg.weight_criterion == "dist":
-            work = scratch.work[: n_prev * n_steps].reshape(n_prev, n_steps)
-            w_dir = weight_dist(psi1, psi2, scratch.crit, work)
-        else:
-            work = scratch.work[: n_prev * n_prev].reshape(n_prev, n_prev)
-            w_dir = weight_dot(psi1, psi2, scratch.crit, work)
-    drive = np.einsum("p,mpg->mg", w_dir, latents, out=scratch.drive)
+        return drawn
+    n_prev, n_steps = latents.shape[1:]
+    psi1, psi2 = scratch.psi
+    np.matmul(latents[drawn[0]], conv.T, out=psi1)
+    np.matmul(latents[drawn[1]], conv.T, out=psi2)
+    if cfg.weight_criterion == "dist":
+        work = scratch.work[: n_prev * n_steps].reshape(n_prev, n_steps)
+        return weight_dist(psi1, psi2, scratch.crit, work)
+    work = scratch.work[: n_prev * n_prev].reshape(n_prev, n_prev)
+    return weight_dot(psi1, psi2, scratch.crit, work)
+
+
+def _normalize(drive: np.ndarray, conv: np.ndarray, cfg,
+               scratch: _NeuronScratch) -> NormalizerResult:
+    """Scale and bias of one neuron from its (samples, steps) drive, which
+    serves as scratch afterwards. Raises DegenerateNeuronError when the
+    voltage is constant and the normalizer must rescale it."""
     traces = np.matmul(drive, conv.T, out=scratch.trace)
     stats = voltage_stats(traces, scratch=drive)
     if cfg.normalizer == "ms":
-        return w_dir, normalize_ms(stats, cfg.mu_target, cfg.std_target, cfg.sc_epsilon)
-    return w_dir, normalize_fl(stats, cfg.z_target, cfg.sc_epsilon)
+        return normalize_ms(stats, cfg.mu_target, cfg.std_target, cfg.sc_epsilon)
+    return normalize_fl(stats, cfg.z_target, cfg.sc_epsilon)
 
 
 def build_hidden_layer(layer_index: int, n_layers: int, n_neurons: int,
@@ -322,13 +339,35 @@ def build_hidden_layer(layer_index: int, n_layers: int, n_neurons: int,
             return weight_random(n_prev, rng)
         return sample_pair(pairs, rng)
 
-    def settle(i, drawn, scratch):
-        w_dir, norm = _solve_neuron(drawn, latents, convs[i], cfg, scratch)
-        weights[i] = norm.scale * w_dir
-        bias[i] = norm.bias
-        cost[i] = norm.cost_value / q0
-        if pairs is not None:
-            chosen_pairs[i] = drawn
+    def settle(lo, hi, drawn, scratch):
+        """Solve the neurons lo..hi-1 of one block from their draws, in
+        order, with one drive product. Returns the first neuron that gives
+        none, the ones before it settled, or None."""
+        rows, drives = scratch.rows, scratch.drives
+        rows.fill(0.0)
+        stop = hi
+        for i in range(lo, hi):
+            try:
+                rows[i % NEURON_BLOCK] = _direction(drawn[i - lo], latents, convs[i], cfg, scratch)
+            except (TrivialPairError, DegenerateNeuronError):
+                stop = i
+                break
+        # neuron-major, so that each neuron's drive is one contiguous
+        # (samples, steps) array: a 4-input, 250-neuron layer over 1000
+        # samples built in 0.23-0.29 s, against 0.30-0.36 s from strided views
+        np.matmul(rows, latents, out=drives.transpose(1, 0, 2))
+        for i in range(lo, stop):
+            j = i % NEURON_BLOCK
+            try:
+                norm = _normalize(drives[j], convs[i], cfg, scratch)
+            except (TrivialPairError, DegenerateNeuronError):
+                return i
+            weights[i] = norm.scale * rows[j]
+            bias[i] = norm.bias
+            cost[i] = norm.cost_value / q0
+            if pairs is not None:
+                chosen_pairs[i] = drawn[i - lo]
+        return stop if stop < hi else None
 
     states, draws = [], []
     for _ in range(n_neurons):
@@ -341,11 +380,12 @@ def build_hidden_layer(layer_index: int, n_layers: int, n_neurons: int,
     failed = []
 
     def solve(lo, hi, scratch):
-        for i in range(lo, hi):
-            try:
-                settle(i, draws[i], scratch)
-            except (TrivialPairError, DegenerateNeuronError):
-                failed.append(i)
+        ends = range(lo - lo % NEURON_BLOCK + NEURON_BLOCK, hi, NEURON_BLOCK)
+        bounds = [lo, *ends, hi]
+        for b, e in zip(bounds, bounds[1:]):
+            bad = settle(b, e, draws[b:e], scratch)
+            if bad is not None:
+                failed.append(bad)
                 return
 
     # Counted: the criterion's (inputs, steps) x (steps, inputs) products.
@@ -359,15 +399,14 @@ def build_hidden_layer(layer_index: int, n_layers: int, n_neurons: int,
         rng.bit_generator.state = states[first]
         scratch = allocate()
         for i in range(first, n_neurons):
-            for attempt in range(cfg.max_retries + 1):
-                try:
-                    settle(i, draw(), scratch)
+            for _ in range(cfg.max_retries + 1):
+                if settle(i, i + 1, [draw()], scratch) is None:
                     break
-                except (TrivialPairError, DegenerateNeuronError):
-                    if attempt == cfg.max_retries:
-                        raise DegenerateNeuronError(
-                            f"neuron {i} stayed degenerate after {cfg.max_retries} retries"
-                        )
+            else:
+                raise DegenerateNeuronError(
+                    f"layer {layer_index}: neuron {i} stayed degenerate "
+                    f"after {cfg.max_retries} retries"
+                )
 
     layer = LayerParams(
         weights=weights,

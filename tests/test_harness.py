@@ -112,6 +112,26 @@ class TestWindowing:
         assert ds.input_batch(starts).shape == (5, 3, 16)
         assert ds.target_batch(starts).shape == (5, 3, 8)
 
+    def test_empty_start_list_gives_empty_batches(self):
+        ds = make_windows(np.random.default_rng(4).normal(size=(3, 120)), obs_len=16, horizon=8)
+        for starts in ([], np.array([], dtype=int)):
+            assert ds.input_batch(starts).shape == (0, 3, 16)
+            assert ds.target_batch(starts).shape == (0, 3, 8)
+
+    @pytest.mark.parametrize("pick", ["first", "one", "repeated", "unordered", "all"])
+    def test_batches_equal_stacked_slices(self, pick):
+        ds = make_windows(np.random.default_rng(5).normal(size=(3, 120)), obs_len=16, horizon=8)
+        every = np.concatenate([ds.starts[s] for s in ("train", "valid", "test")])
+        starts = {
+            "first": ds.starts["train"][:5], "one": [int(every[-1])],
+            "repeated": [7, 7, 0, 7], "unordered": [40, 3, 96, 12], "all": every,
+        }[pick]
+        inputs = np.stack([ds.series[:, s: s + 16] for s in starts])
+        targets = np.stack([ds.series[:, s + 16: s + 24] for s in starts])
+        assert ds.input_batch(starts).tobytes() == inputs.tobytes()
+        assert ds.target_batch(starts).tobytes() == targets.tobytes()
+        assert ds.input_batch(starts).shape == inputs.shape
+
 
 class TestSynth:
     def test_deterministic_given_seed(self):

@@ -393,7 +393,8 @@ def duplicate_pair_distribution(n_samples: int, weight: float) -> PairProbabilit
     return pair_probabilities_from_matrices(np.ones_like(dist_out), dist_out, 0.0)
 
 
-def split_layer(criterion, duplicates=False, max_retries=8, n_neurons=24):
+def split_layer(criterion, duplicates=False, max_retries=8, n_neurons=24, layer_seed=49,
+                layer_index=1, normalizer="ms"):
     """A layer's bytes, its chosen pairs and the stream's state after it."""
     rng = np.random.default_rng(40)
     latents = small_latents(rng, m=30)
@@ -408,22 +409,22 @@ def split_layer(criterion, duplicates=False, max_retries=8, n_neurons=24):
     else:
         l2 = Pseudometric(EmbeddingSpec("l2"))
         pairs = pair_probabilities(latents, targets, l2, l2)
-    layer_rng = np.random.default_rng(49)
+    layer_rng = np.random.default_rng(layer_seed)
     layer, info = build_hidden_layer(
-        1, 1, n_neurons, pspk(KernelFamily.HAT), rfk(KernelFamily.EXP),
+        layer_index, layer_index, n_neurons, pspk(KernelFamily.HAT), rfk(KernelFamily.EXP),
         latents, obs_len=36, horizon=12, pairs=pairs,
-        cfg=desk_cfg(weight_criterion=criterion, max_retries=max_retries),
+        cfg=desk_cfg(weight_criterion=criterion, normalizer=normalizer, max_retries=max_retries),
         rng=layer_rng,
     )
     params = (layer.weights, layer.bias, layer.spike_cost)
     return [a.tobytes() for a in params], info["pairs"], layer_rng.bit_generator.state
 
 
-def serial_duplicate_draws(n_neurons=24):
+def serial_duplicate_draws(n_neurons=24, seed=49):
     """The pairs and final stream state of a serial loop that redraws every
     (1, 0) pair, and the neurons whose first draw is (1, 0)."""
     pairs = duplicate_pair_distribution(30, 40.0)
-    rng = np.random.default_rng(49)
+    rng = np.random.default_rng(seed)
     chosen, first_failed = [], []
     for i in range(n_neurons):
         pair = sample_pair(pairs, rng)
@@ -457,11 +458,14 @@ class TestSplitHiddenBuild:
 
     @pytest.mark.parametrize("criterion", ["dot", "dist", "random"])
     def test_layer_is_the_same_on_any_thread_count(self, cpus, criterion):
-        cpus(1)
-        serial = split_layer(criterion)
-        for workers in self.WORKERS:
-            cpus(workers)
-            assert split_layer(criterion) == serial, f"{workers} threads"
+        # 40 neurons: two full blocks and one of 8, cut anywhere by the ranges
+        for n_neurons in (24, 40):
+            cpus(1)
+            serial = split_layer(criterion, n_neurons=n_neurons)
+            for workers in self.WORKERS:
+                cpus(workers)
+                got = split_layer(criterion, n_neurons=n_neurons)
+                assert got == serial, f"{n_neurons} neurons, {workers} threads"
 
     def test_retried_neuron_mid_range_gives_the_serial_layer(self, cpus):
         chosen, state, first_failed = serial_duplicate_draws()
@@ -477,12 +481,32 @@ class TestSplitHiddenBuild:
             assert first not in starts, "the retried neuron must sit inside a range"
             assert split_layer("dist", duplicates=True) == serial, f"{workers} threads"
 
+    # fl accepts any voltage, so only the failed pair itself stops a neuron
+    @pytest.mark.parametrize("normalizer", ["ms", "fl"])
+    def test_retried_neuron_inside_the_second_block_gives_the_serial_layer(self, cpus, normalizer):
+        chosen, state, first_failed = serial_duplicate_draws(40, seed=45)
+        first = first_failed[0]
+        assert hidden.NEURON_BLOCK < first < 2 * hidden.NEURON_BLOCK
+        assert first % hidden.NEURON_BLOCK, "the retried neuron must not start a block"
+        cpus(1)
+        retried = dict(duplicates=True, n_neurons=40, layer_seed=45, normalizer=normalizer)
+        serial = split_layer("dist", **retried)
+        assert serial[1:] == (chosen, state)
+        for workers in self.WORKERS:
+            cpus(workers)
+            starts = [lo for lo, _ in network._split_ranges(40, 40)]
+            assert first not in starts, "the retried neuron must sit inside a range"
+            assert split_layer("dist", **retried) == serial, f"{workers} threads"
+
     @pytest.mark.parametrize("workers", [1] + WORKERS)
     def test_exhausted_retries_name_the_neuron(self, cpus, workers):
         first = serial_duplicate_draws()[2][0]
         cpus(workers)
-        with pytest.raises(DegenerateNeuronError, match=f"neuron {first} stayed degenerate"):
-            split_layer("dist", duplicates=True, max_retries=0)
+        for layer_index in (1, 2):
+            with pytest.raises(DegenerateNeuronError,
+                               match=f"neuron {first} stayed degenerate") as info:
+                split_layer("dist", duplicates=True, max_retries=0, layer_index=layer_index)
+            assert str(info.value).startswith(f"layer {layer_index}: ")
 
     def test_worker_error_names_the_phase(self, monkeypatch, cpus):
         threads = []
@@ -499,3 +523,34 @@ class TestSplitHiddenBuild:
             train_sswim(dataset, ModelArch(hidden=(25,)), cfg, seed=11)
         assert info.value.phase == "hidden_build"
         assert threads and threading.main_thread() not in threads
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["real", "zero-one"])
+def test_block_drives_match_the_per_neuron_reference(monkeypatch, binary):
+    """Each neuron's drive, taken from its block's product, is the weighted
+    input sum of its direction alone; the bits depend on the BLAS build."""
+    rng = np.random.default_rng(61)
+    if binary:   # spike masks, as a second layer sees them
+        latents = (rng.random((30, 40, 48)) < 0.2).astype(float)
+    else:
+        latents = small_latents(rng, m=30)
+    seen = []
+    normalize = hidden._normalize
+
+    def record(drive, conv, cfg, scratch):
+        seen.append(drive.copy())
+        return normalize(drive, conv, cfg, scratch)
+
+    monkeypatch.setattr(hidden, "_normalize", record)
+    monkeypatch.setattr(network, "available_cpus", lambda: 1)   # neurons in order
+    n_neurons = 2 * hidden.NEURON_BLOCK + 3
+    build_hidden_layer(
+        1, 1, n_neurons, pspk(KernelFamily.HAT), rfk(KernelFamily.EXP), latents,
+        obs_len=36, horizon=12, pairs=None, cfg=desk_cfg(weight_criterion="random"),
+        rng=np.random.default_rng(62),
+    )
+    draws = np.random.default_rng(62)
+    directions = [weight_random(latents.shape[1], draws) for _ in range(n_neurons)]
+    assert len(seen) == n_neurons
+    for w, drive in zip(directions, seen):
+        np.testing.assert_allclose(drive, np.einsum("p,mpg->mg", w, latents), rtol=1e-12)
