@@ -128,8 +128,16 @@ class VanRossumLift:
     support: float = 1.0
 
     def apply_batch(self, dense_combs: np.ndarray) -> np.ndarray:
+        """The (samples, channels, steps) float batch of lifted trains. One
+        product per sample, so a boolean batch is never copied to float as
+        a whole (28.8 MB on deep's second layer); the products are those of
+        one stacked product, bit for bit."""
         pk = PlacedKernel(self.kernel, 0.0, self.support)
-        return dense_combs @ kernel_conv_matrix(pk, dense_combs.shape[-1]).T
+        conv_t = kernel_conv_matrix(pk, dense_combs.shape[-1]).T
+        lifted = np.empty(dense_combs.shape)
+        for sample, out in zip(dense_combs, lifted):
+            np.matmul(sample, conv_t, out=out)
+        return lifted
 
 
 @dataclass(frozen=True)
@@ -262,9 +270,15 @@ def _lift_and_filter(lift: VanRossumLift | None, dense: np.ndarray,
     L2 norm after centering is ``min_norm`` or more."""
     if lift is not None:
         dense = lift.apply_batch(dense)
-    centered = dense - dense.mean(axis=-1, keepdims=True)
-    norms = np.sqrt(np.sum(np.square(centered, out=centered), axis=-1))
-    return dense, np.any(norms >= min_norm, axis=1)
+    means = dense.mean(axis=-1, keepdims=True)
+    # one sample at a time in one buffer, not a centered copy of the batch:
+    # the sums run over the last axis either way, so the norms keep their bits
+    centered = np.empty(dense.shape[1:])
+    norms = np.empty(dense.shape[:2])
+    for sample, mean, norm in zip(dense, means, norms):
+        np.subtract(sample, mean, out=centered)
+        np.sum(np.square(centered, out=centered), axis=-1, out=norm)
+    return dense, np.any(np.sqrt(norms) >= min_norm, axis=1)
 
 
 def _unlifted(metric: Pseudometric) -> Pseudometric:

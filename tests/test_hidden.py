@@ -166,6 +166,80 @@ class TestWeightDot:
             assert achieved <= best_rand + 1e-3 * abs(best_rand)
 
 
+def full_dot(psi1, psi2):
+    """weight_dot's answer from the whole (inputs, inputs) overlap matrix."""
+    a = overlap_matrix(psi1, psi2)
+    if not np.any(a):
+        return np.eye(len(a))[0]
+    return hidden._fix_sign(np.linalg.eigh(a)[1][:, 0])
+
+
+def full_dist(psi1, psi2):
+    return hidden._fix_sign(np.linalg.eigh(separation_matrix(psi1, psi2))[1][:, -1])
+
+
+def wide_pair(rng, inputs=40, steps=12, rank=9):
+    """Responses of rank ``rank`` each, so [psi1 psi2] is rank-deficient."""
+    return [rng.normal(size=(inputs, rank)) @ rng.normal(size=(rank, steps))
+            for _ in range(2)]
+
+
+class TestSpanSolve:
+    """A layer with more inputs than the pair's responses span solves its
+    eigenproblem on that span, with the answer of the full matrix."""
+
+    def test_dot_matches_the_full_solve(self):
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            psi1, psi2 = wide_pair(rng)
+            assert hidden._dot_on_span(psi1, psi2, None) is not None
+            np.testing.assert_allclose(weight_dot(psi1, psi2), full_dot(psi1, psi2),
+                                       rtol=1e-10, atol=1e-10)
+
+    def test_dist_matches_the_full_solve(self):
+        rng = np.random.default_rng(25)
+        for rank in (5, 9, 12):
+            psi1, psi2 = wide_pair(rng, steps=16, rank=rank)
+            np.testing.assert_allclose(weight_dist(psi1, psi2), full_dist(psi1, psi2),
+                                       rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("case", ["semidefinite", "zero overlap", "zero psi2"])
+    def test_dot_without_a_negative_eigenvalue_takes_the_full_path(self, case):
+        rng = np.random.default_rng(27)
+        psi1, psi2 = wide_pair(rng)
+        if case == "semidefinite":
+            psi2 = 2.5 * psi1
+        elif case == "zero overlap":
+            psi1[:, 6:] = 0.0
+            psi2[:, :6] = 0.0
+        else:
+            psi2[:] = 0.0
+        assert hidden._dot_on_span(psi1, psi2, None) is None
+        out, work = np.empty((40, 40)), np.empty((40, 40))
+        want = full_dot(psi1, psi2).tobytes()
+        assert weight_dot(psi1, psi2).tobytes() == want
+        assert weight_dot(psi1, psi2, out, work).tobytes() == want
+
+    def test_wide_pairs_never_form_the_full_matrix(self, monkeypatch):
+        def full_matrix(*args, **kwargs):
+            raise AssertionError("a wide pair formed the (inputs, inputs) matrix")
+
+        monkeypatch.setattr(hidden, "overlap_matrix", full_matrix)
+        monkeypatch.setattr(hidden, "separation_matrix", full_matrix)
+        psi1, psi2 = wide_pair(np.random.default_rng(29))
+        out = np.full((40, 40), np.nan)
+        weight_dot(psi1, psi2, out, np.empty((40, 40)))
+        weight_dist(psi1, psi2, out, np.empty((40, 12)))
+        assert np.isnan(out).all(), "the span paths leave out unused"
+
+    def test_narrow_pairs_keep_the_full_solve(self):
+        rng = np.random.default_rng(28)
+        psi1, psi2 = rng.normal(size=(2, 24, 12))   # 24 inputs: not above 2 x 12
+        assert weight_dot(psi1, psi2).tobytes() == full_dot(psi1, psi2).tobytes()
+        psi1, psi2 = rng.normal(size=(2, 12, 12))   # 12 inputs: not above 12
+        assert weight_dist(psi1, psi2).tobytes() == full_dist(psi1, psi2).tobytes()
+
+
 class TestWeightRandom:
     def test_unit_norm(self):
         rng = np.random.default_rng(24)
@@ -378,11 +452,14 @@ class TestBuildHiddenLayer:
 @pytest.mark.parametrize("criterion, work_shape", [
     (weight_dist, (5, 9)),
     (weight_dot, (5, 5)),
+    (weight_dist, (40, 9)),   # more inputs than steps: the span path
+    (weight_dot, (40, 40)),   # more inputs than twice the steps: the span path
 ])
 def test_criterion_buffers_give_the_same_direction(criterion, work_shape):
     rng = np.random.default_rng(31)
-    psi1, psi2 = rng.normal(size=(2, 5, 9))
-    out, work = np.empty((5, 5)), np.empty(work_shape)
+    inputs = work_shape[0]
+    psi1, psi2 = rng.normal(size=(2, inputs, 9))
+    out, work = np.empty((inputs, inputs)), np.empty(work_shape)
     assert criterion(psi1, psi2, out, work).tobytes() == criterion(psi1, psi2).tobytes()
 
 
@@ -497,6 +574,27 @@ class TestSplitHiddenBuild:
             starts = [lo for lo, _ in network._split_ranges(40, 40)]
             assert first not in starts, "the retried neuron must sit inside a range"
             assert split_layer("dist", **retried) == serial, f"{workers} threads"
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_neurons_after_a_retry_share_products_with_the_bytes_of_one_each(
+            self, monkeypatch, cpus, workers):
+        """The neurons after a retried one are settled in block products
+        again, with the bytes a loop gives that settles each neuron alone."""
+        retried = dict(duplicates=True, n_neurons=40, layer_seed=45)
+        passes = []
+
+        def one_neuron_per_range(fn, n, size, allocate):
+            passes.append(n)
+            for i in range(n):
+                fn(i, i + 1, allocate())
+
+        with monkeypatch.context() as patch:
+            patch.setattr(hidden, "_split_run", one_neuron_per_range)
+            alone = split_layer("dist", **retried)
+        first_failed = serial_duplicate_draws(40, seed=45)[2]
+        assert len(passes) == len(first_failed) + 1, "one pass per retried neuron"
+        cpus(workers)
+        assert split_layer("dist", **retried) == alone
 
     @pytest.mark.parametrize("workers", [1] + WORKERS)
     def test_exhausted_retries_name_the_neuron(self, cpus, workers):

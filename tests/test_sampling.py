@@ -6,7 +6,7 @@ import pytest
 
 from sswim import network, sampling
 from sswim.errors import DegenerateDistributionError
-from sswim.kernels import KernelFamily, pspk
+from sswim.kernels import KernelFamily, PlacedKernel, pspk
 from sswim.sampling import (
     EmbeddingSpec,
     PairProbabilities,
@@ -317,6 +317,31 @@ class TestPairProbabilities:
         base = pair_probabilities_from_matrices(d_in, d_out, eps=0.0)
         scaled = pair_probabilities_from_matrices(d_in, 37.0 * d_out, eps=0.0)
         np.testing.assert_allclose(scaled.probs, base.probs, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["mask", "lifted mask", "real"])
+def test_lift_and_filter_keeps_the_bits_of_the_batch_reduction(kind):
+    """The lift and the per-sample norms equal, bit for bit, one stacked
+    product and one centered copy of the batch: a threshold at a sample's
+    own norm keeps it, and the next float above drops it."""
+    rng = np.random.default_rng(20)
+    if kind == "real":
+        dense, lift = random_batch(rng, 12, channels=9, steps=40), None
+    else:
+        dense = rng.random((12, 9, 40)) < 0.1
+        lift = VanRossumLift(pspk(KernelFamily.HAT), 3.0) if kind == "lifted mask" else None
+    lifted = dense
+    if lift is not None:
+        placed = PlacedKernel(lift.kernel, 0.0, lift.support)
+        lifted = dense @ network.kernel_conv_matrix(placed, 40).T
+    centered = lifted - lifted.mean(axis=-1, keepdims=True)
+    norms = np.sqrt(np.sum(np.square(centered), axis=-1)).max(axis=1)
+    for k in range(len(dense)):
+        got, valid = sampling._lift_and_filter(lift, dense, norms[k])
+        assert got.tobytes() == lifted.tobytes()
+        np.testing.assert_array_equal(valid, norms >= norms[k])
+        _, valid = sampling._lift_and_filter(lift, dense, np.nextafter(norms[k], np.inf))
+        assert not valid[k]
 
 
 class TestSamplePair:
