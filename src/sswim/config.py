@@ -218,6 +218,23 @@ class RunConfig:
                         replace(self.sswim, **{key: value})
                     except ConfigError as exc:
                         raise ConfigError(f"ablation {name}: {exc}") from exc
+        criteria = {self.sswim.weight_criterion}
+        if self.ablation is not None:
+            criteria.update(self.ablation.criteria)
+        if criteria != {"random"}:
+            # entropy mode embeds the targets with every candidate as well
+            horizon = self.dataset.horizon
+            if self.sswim.metric_mode == "entropy":
+                metrics = [("metric_candidates", c, horizon)
+                           for c in self.sswim.metric_candidates]
+            else:
+                metrics = [("metric_in", self.sswim.metric_in, self.dataset.observation + horizon),
+                           ("metric_out", self.sswim.metric_out, horizon)]
+            for name, text, steps in metrics:
+                try:
+                    EmbeddingSpec.parse(str(text)).check_steps(steps)
+                except ValueError as exc:
+                    raise ConfigError(f"{name}: metric {text!r}: {exc}") from exc
 
 
 def _check_fields(config) -> None:

@@ -49,8 +49,8 @@ window rows of its conv stack, is then applied to its own trace. That is
 the design row of the output fit (``output.assemble_design``) times the
 weights, up to rounding.
 
-The hidden layers, the metric selection (``sampling.Pseudometric.pairwise``
-under ``sampling.select_metrics``), the hidden-layer build
+The hidden layers, the embedding of the metric selection's samples
+(``sampling.Pseudometric.prepare_batch``), the hidden-layer build
 (``hidden.build_hidden_layer``) and the output fit
 (``output.select_supports`` and ``output.accumulate_normal_equations``)
 run on every available CPU through ``_split_run``, which alone starts

@@ -13,11 +13,11 @@ Shannon entropy of that distribution doubles as a selection criterion
 between candidate distance functions: lower entropy means the distance
 pair separates the dataset more decisively.
 
-A distance matrix is split over threads by ``network._split_run``: the
-samples to embed, then, for a complex embedding, the ``BLOCK``-column
-blocks of the Gram matrix. Workers write only the result arrays and the
-buffers ``allocate`` made for them on the calling thread, and every BLAS
-call has the shape it has on one thread, so distance matrices, pair
+A distance matrix embeds its samples over threads by
+``network._split_run``; workers write only their rows of the embedded
+batch and the buffers ``allocate`` made for them on the calling thread.
+The matrix then comes from one real Gram product on the calling thread,
+a complex embedding viewed as floats, so distance matrices, pair
 distributions and the chosen metrics are bit for bit the same on any
 number of CPUs.
 """
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DegenerateDistributionError
 from .kernels import KernelSpec, PlacedKernel
-from .network import BLOCK, _leading, _split_run, kernel_conv_matrix
+from .network import _split_run, kernel_conv_matrix
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,15 @@ class EmbeddingSpec:
     def dtype(self) -> type:
         """The type of the embedded values."""
         return complex if self.kind in ("phase", "band") else float
+
+    def check_steps(self, steps: int) -> None:
+        """Raise ValueError if the embedding cannot take ``steps``-step
+        signals: a band whose bins reach past their spectrum."""
+        if self.kind == "band" and self.band[1] > steps:
+            raise ValueError(
+                f"band bins [{self.band[0]}, {self.band[1]}) exceed the "
+                f"{steps}-bin spectrum"
+            )
 
     @property
     def name(self) -> str:
@@ -93,11 +102,7 @@ def embed(spec: EmbeddingSpec, values, out=None, spectrum=None, magnitude=None) 
         else:
             np.divide(values, norm, out=out)
         return out
-    if spec.kind == "band" and spec.band[1] > values.shape[-1]:
-        raise ValueError(
-            f"band bins [{spec.band[0]}, {spec.band[1]}) exceed the "
-            f"{values.shape[-1]}-bin spectrum"
-        )
+    spec.check_steps(values.shape[-1])
     if spectrum is None:
         spectrum = np.empty(values.shape, dtype=complex)
     if magnitude is None:
@@ -186,41 +191,24 @@ class Pseudometric:
     def pairwise(self, dense: np.ndarray) -> np.ndarray:
         """Full symmetric distance matrix over a batch of samples.
 
-        A complex embedding's Gram matrix is formed ``BLOCK`` columns at a
-        time, the blocks split over threads by ``_split_run``: each thread
-        conjugates a block into its own buffer, takes the block's Gram
-        columns, then multiplies the block into the conjugate in place for
-        its squared norms, so no conjugate or product of the whole batch is
-        made. A real embedding's Gram matrix is one product, which numpy
-        runs as a symmetric rank-k update: cut into columns, it rounds
-        differently."""
+        A complex embedding is viewed as floats, each value its real and
+        imaginary parts, since Re(u·v̄) = Re u·Re v + Im u·Im v: every
+        embedding's Gram matrix is then one real product, which numpy runs
+        as a symmetric rank-k update, so the matrix is exactly symmetric.
+        The squared norms are taken one row at a time in one row buffer,
+        with the bits of the whole batch's sum, so no elementwise product of
+        the whole batch is made."""
         vecs = self.prepare_batch(dense)
-        n = vecs.shape[0]
         if np.iscomplexobj(vecs):
-            sq = np.empty(n)
-            gram = np.empty((n, n))
-
-            def run(lo, hi, buffers):
-                conj_buf, prod_buf = buffers
-                for b in range(lo, hi):
-                    cols = slice(b * BLOCK, min(n, (b + 1) * BLOCK))
-                    block = vecs[cols]
-                    conj = np.conjugate(block, out=_leading(conj_buf, block.shape))
-                    prod = _leading(prod_buf, (n, block.shape[0]))
-                    gram[:, cols] = np.matmul(vecs, conj.T, out=prod).real
-                    sq[cols] = np.sum(np.multiply(block, conj, out=conj).real, axis=1)
-
-            _split_run(run, -(-n // BLOCK), vecs.size,
-                       lambda: (np.empty(BLOCK * vecs.shape[1], dtype=complex),
-                                np.empty(n * BLOCK, dtype=complex)))
-        else:
-            sq = np.sum(vecs * vecs, axis=1)
-            gram = vecs @ vecs.T
-        d2 = sq[:, None] + sq[None, :] - 2.0 * gram
+            vecs = vecs.view(float)
+        sq = np.empty(vecs.shape[0])
+        row = np.empty(vecs.shape[1])
+        for i, vec in enumerate(vecs):
+            sq[i] = np.sum(np.multiply(vec, vec, out=row))
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (vecs @ vecs.T)
         np.maximum(d2, 0.0, out=d2)
-        dist = np.sqrt(d2)
-        dist = np.tril(dist, -1)
-        dist = dist + dist.T
+        dist = np.sqrt(d2, out=d2)
+        np.fill_diagonal(dist, 0.0)
         return dist
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import ModelArch, SswimConfig
 from .datasets import ForecastDataset, rse
-from .errors import PipelineError, SswimError
+from .errors import DegenerateDistributionError, PipelineError, SswimError
 from .hidden import build_hidden_layer
 from .kernels import pspk, rfk
 from .network import (
@@ -239,19 +239,22 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
                 # weights ignore the pair distribution; no metric is consulted
                 pairs, names = None, ("none", "none")
             else:
-                if cfg.metric_mode == "entropy":
-                    cands_in, cands_out = _candidate_metrics(cfg, lift)
-                    d_in_metric, d_out_metric, pairs = select_metrics(
-                        latents, targets_xi, cands_in, cands_out,
-                        eps=cfg.epsilon, min_norm=cfg.min_norm, min_entropy=cfg.min_entropy,
-                    )
-                else:
-                    d_in_metric = Pseudometric(EmbeddingSpec.parse(cfg.metric_in), lift)
-                    d_out_metric = Pseudometric(EmbeddingSpec.parse(cfg.metric_out))
-                    pairs = pair_probabilities(
-                        latents, targets_xi, d_in_metric, d_out_metric,
-                        eps=cfg.epsilon, min_norm=cfg.min_norm,
-                    )
+                try:
+                    if cfg.metric_mode == "entropy":
+                        cands_in, cands_out = _candidate_metrics(cfg, lift)
+                        d_in_metric, d_out_metric, pairs = select_metrics(
+                            latents, targets_xi, cands_in, cands_out, eps=cfg.epsilon,
+                            min_norm=cfg.min_norm, min_entropy=cfg.min_entropy,
+                        )
+                    else:
+                        d_in_metric = Pseudometric(EmbeddingSpec.parse(cfg.metric_in), lift)
+                        d_out_metric = Pseudometric(EmbeddingSpec.parse(cfg.metric_out))
+                        pairs = pair_probabilities(
+                            latents, targets_xi, d_in_metric, d_out_metric,
+                            eps=cfg.epsilon, min_norm=cfg.min_norm,
+                        )
+                except DegenerateDistributionError as exc:
+                    raise DegenerateDistributionError(f"layer {layer_index}: {exc}") from exc
                 names = (d_in_metric.name, d_out_metric.name)
             if layer_index == 1:
                 report.metric_in, report.metric_out = names

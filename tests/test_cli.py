@@ -8,6 +8,7 @@ import pytest
 
 from sswim.cli import main
 from sswim.config import SswimConfig
+from sswim.errors import DegenerateDistributionError
 
 CONFIG = """\
 dataset:
@@ -129,6 +130,15 @@ NON_FINITE = [
     "lambda_max: .inf",
 ]
 
+# (sswim lines, the key the config error must name, the spectrum's length) on
+# a 4-step horizon, which leaves no room for the default candidates' band:1:8
+BANDS_PAST_THE_SPECTRUM = [
+    ([], "metric_candidates", 4),
+    (["weight_criterion: dist"], "metric_candidates", 4),
+    (["metric_mode: fixed", "metric_out: band:1:8"], "metric_out", 4),
+    (["metric_mode: fixed", "metric_in: band:1:30"], "metric_in", 28),   # 24 + 4 steps
+]
+
 ABLATION = "ablation:\n  criteria: [dot]\n  normalizers: [ms]\n  neuron_counts: [12]\n"
 
 # (ablation line, a fragment the config error must contain)
@@ -200,6 +210,62 @@ class TestTrainCommand:
     def test_every_float_field_has_a_non_finite_case(self):
         floats = {f.name for f in fields(SswimConfig) if f.type.startswith("float")}
         assert floats == {line.split(":")[0] for line in NON_FINITE}
+
+    @pytest.mark.parametrize("lines, named, bins", BANDS_PAST_THE_SPECTRUM,
+                             ids=[named for _, named, _ in BANDS_PAST_THE_SPECTRUM])
+    def test_band_past_its_spectrum_exits_two_before_any_output(self, tmp_path, capsys,
+                                                                lines, named, bins):
+        path, out = write_config(tmp_path)
+        text = with_value(path.read_text(), "dataset", "horizon: 4")
+        for line in lines:
+            text = with_value(text, "sswim", line)
+        path.write_text(text)
+        assert main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and f"exceed the {bins}-bin spectrum" in err
+        assert not out.exists()
+
+    def test_band_check_covers_the_ablation_criteria(self, tmp_path, capsys):
+        path, out = write_config(tmp_path, extra=ABLATION)
+        text = with_value(path.read_text(), "dataset", "horizon: 4")
+        text = with_value(text, "sswim", "weight_criterion: random")
+        path.write_text(with_value(text, "ablation", "criteria: [random, dot]"))
+        assert main(["ablate", "--config", str(path)]) == 2
+        assert "metric_candidates" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_random_criterion_skips_the_band_check(self, tmp_path):
+        path, out = write_config(tmp_path)
+        text = with_value(path.read_text(), "dataset", "horizon: 4")
+        path.write_text(with_value(text, "sswim", "weight_criterion: random"))
+        assert main(["train", "--config", str(path)]) == 0
+        assert (out / "model_seed1.json").exists()
+
+    def test_constant_series_names_the_failing_layer(self, tmp_path, capsys):
+        series = tmp_path / "constant.csv"
+        series.write_text("a,b\n" + "1.0,2.0\n" * 420)
+        path, _ = write_config(tmp_path)
+        text = path.read_text()
+        path.write_text(text.replace(text.splitlines()[1], f"  csv: {series}"))
+        assert main(["train", "--config", str(path)]) == 1
+        assert "phase 'hidden_build' failed: layer 1: " in capsys.readouterr().err
+
+    def test_metric_selection_failure_names_its_layer(self, tmp_path, monkeypatch, capsys):
+        from sswim import train
+
+        real, calls = train.select_metrics, []
+
+        def second_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise DegenerateDistributionError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(train, "select_metrics", second_fails)
+        path, _ = write_config(tmp_path)
+        path.write_text(with_value(path.read_text(), "architecture", "hidden: [20, 12]"))
+        assert main(["train", "--config", str(path)]) == 1
+        assert "phase 'hidden_build' failed: layer 2: injected" in capsys.readouterr().err
 
     def test_phase_failure_exits_one_and_names_the_phase(self, tmp_path, monkeypatch,
                                                           capsys):

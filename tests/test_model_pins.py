@@ -24,13 +24,24 @@ from sswim.train import predict_batch, serialize_model_bytes, train_sswim
 
 PINS = Path(__file__).with_name("model_pins.json")
 
-# name -> (hidden sizes, training seed), all on the criterion-13 dataset and
-# config; the last one's second layer has more inputs (72) than twice its
-# steps (32), so it solves its weights on the span of each pair's responses
+# name -> (hidden sizes, training seed, config overrides), all on the
+# criterion-13 dataset and config. The wide model's second layer has more
+# inputs (72) than twice its steps (32), so it solves its weights on the span
+# of each pair's responses. The (25, 20) variants cover each weight
+# criterion and normalizer, and a fixed metric pair that is complex on both
+# sides.
 MODELS = {
-    "criterion13_seed11": ((25,), 11),
-    "two_layer_25_20_seed5": ((25, 20), 5),
-    "wide_second_layer_72_12_seed3": ((72, 12), 3),
+    "criterion13_seed11": ((25,), 11, {}),
+    "two_layer_25_20_seed5": ((25, 20), 5, {}),
+    "wide_second_layer_72_12_seed3": ((72, 12), 3, {}),
+    "two_layer_25_20_seed5_dist_ms": ((25, 20), 5, {"weight_criterion": "dist"}),
+    "two_layer_25_20_seed5_dist_fl": ((25, 20), 5,
+                                      {"weight_criterion": "dist", "normalizer": "fl"}),
+    "two_layer_25_20_seed5_random_ms": ((25, 20), 5, {"weight_criterion": "random"}),
+    "two_layer_25_20_seed5_random_fl": ((25, 20), 5,
+                                        {"weight_criterion": "random", "normalizer": "fl"}),
+    "two_layer_25_20_seed5_fixed_band_phase": ((25, 20), 5, {
+        "metric_mode": "fixed", "metric_in": "band:1:8", "metric_out": "phase"}),
 }
 
 
@@ -38,9 +49,9 @@ def dataset():
     return make_windows(synth_dataset("multisine", 2, 420, seed=7), obs_len=24, horizon=8)
 
 
-def config():
+def config(**overrides):
     return SswimConfig(subbatch=60, sigma_min=3.0, sigma_max=12.0,
-                       sigma_cycle=5, support_count=8, lambda_count=6)
+                       sigma_cycle=5, support_count=8, lambda_count=6, **overrides)
 
 
 def _openblas():
@@ -68,9 +79,9 @@ def current_build() -> dict:
     }
 
 
-def model_hashes(hidden, seed) -> dict:
+def model_hashes(hidden, seed, overrides) -> dict:
     data = dataset()
-    model, _ = train_sswim(data, ModelArch(hidden=hidden), config(), seed)
+    model, _ = train_sswim(data, ModelArch(hidden=hidden), config(**overrides), seed)
     predictions = predict_batch(model, data.input_batch(data.starts["test"]))
     return {
         "model": hashlib.sha256(serialize_model_bytes(model)).hexdigest(),
@@ -93,8 +104,7 @@ def test_pins_cover_every_model(pins):
 
 @pytest.mark.parametrize("name", MODELS)
 def test_model_bytes_match_the_pins(pins, name):
-    hidden, seed = MODELS[name]
-    assert model_hashes(hidden, seed) == pins[name]
+    assert model_hashes(*MODELS[name]) == pins[name]
 
 
 def test_the_wide_model_solves_on_the_span():

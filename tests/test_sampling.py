@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,18 @@ def reference_pairwise(vecs):
     return dist + dist.T
 
 
+def real_view_pairwise(vecs):
+    """The distance matrix formed from whole-batch products of the batch
+    viewed as floats, mirrored from its lower triangle."""
+    if np.iscomplexobj(vecs):
+        vecs = vecs.view(float)
+    sq = np.sum(vecs * vecs, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (vecs @ vecs.T)
+    np.maximum(d2, 0.0, out=d2)
+    dist = np.tril(np.sqrt(d2), -1)
+    return dist + dist.T
+
+
 LIFT = VanRossumLift(pspk(KernelFamily.HAT), 4.0)
 # every embedding, and one lifted metric with a complex embedding
 SPLIT_METRICS = [Pseudometric(spec) for spec in ALL_EMBEDDINGS] + [
@@ -210,8 +223,31 @@ class TestPairwiseBlocks:
             widths = cpus(count)
             vecs = metric.prepare_batch(batch)
             assert vecs.dtype == metric.embedding.dtype
-            assert metric.pairwise(batch).tobytes() == reference_pairwise(vecs).tobytes()
+            assert metric.pairwise(batch).tobytes() == real_view_pairwise(vecs).tobytes()
             assert max(widths) == min(count, n_samples)
+
+    @pytest.mark.parametrize("n_samples", [2, 31, 200])
+    @pytest.mark.parametrize("metric", [m for m in SPLIT_METRICS if m.embedding.dtype is complex],
+                             ids=lambda m: m.name)
+    def test_complex_matrix_matches_the_conjugate_formula(self, metric, n_samples):
+        batch = metric_batch(metric, np.random.default_rng(n_samples), n_samples)
+        expected = reference_pairwise(metric.prepare_batch(batch))
+        np.testing.assert_allclose(metric.pairwise(batch), expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("spec", ALL_EMBEDDINGS, ids=lambda s: s.name)
+    def test_peak_memory_stays_near_the_embedded_batch(self, spec):
+        # a product or copy of the whole embedded batch would double the peak
+        metric = Pseudometric(spec)
+        batch = random_batch(np.random.default_rng(5), 64, steps=400)
+        embedded = metric.prepare_batch(batch).nbytes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            metric.pairwise(batch)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * embedded
 
     def test_each_sample_is_centered_alone(self, cpus):
         for metric in SPLIT_METRICS:
