@@ -38,9 +38,9 @@ def _build_dataset(cfg: RunConfig):
 
 
 def _resolve_out_dir(cfg_out: str, flag_out: str | None) -> str:
-    out = flag_out or os.environ.get(OUT_DIR_ENV) or cfg_out
-    os.makedirs(out, exist_ok=True)
-    return out
+    """The output directory. The commands create it only when they are
+    about to write to it, so a run that fails before then leaves none."""
+    return flag_out or os.environ.get(OUT_DIR_ENV) or cfg_out
 
 
 def _write_lines(path: str, lines) -> None:
@@ -72,6 +72,7 @@ def cmd_train(args) -> int:
     summary = []
     for seed in cfg.seeds:
         model, report = train_sswim(dataset, cfg.arch, cfg.sswim, seed)
+        os.makedirs(out_dir, exist_ok=True)
         save_model(model, os.path.join(out_dir, f"model_seed{seed}.json"))
         _write_lines(os.path.join(out_dir, f"report_seed{seed}.txt"), report_lines(report))
         _write_lines(os.path.join(out_dir, f"timings_seed{seed}.txt"), timing_lines(report))
@@ -152,6 +153,7 @@ def cmd_ablate(args) -> int:
     done_keys = {_ablation_row_key(r) for r in rows}
     workers = cfg.threads if args.threads is None else args.threads
     grid = cfg.ablation
+    os.makedirs(out_dir, exist_ok=True)
     for row in iter_ablation(
         dataset, cfg.arch, cfg.sswim, grid.criteria, grid.normalizers, grid.neuron_counts,
         cfg.seeds, workers=workers, skip_cells=done_keys,

@@ -46,9 +46,12 @@ class LambdaSearchError(NeuronError):
 
 
 class PipelineError(SswimError):
-    """A training phase failed; carries the phase name for diagnostics."""
+    """A training phase failed; carries the phase name for diagnostics and,
+    for a failure in one hidden layer, its 1-based ``layer``."""
 
-    def __init__(self, phase, cause):
-        super().__init__(f"phase '{phase}' failed: {cause}")
+    def __init__(self, phase, cause, layer=None):
+        where = "" if layer is None else f"layer {layer}: "
+        super().__init__(f"phase '{phase}' failed: {where}{cause}")
         self.phase = phase
         self.cause = cause
+        self.layer = layer

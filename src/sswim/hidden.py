@@ -38,7 +38,13 @@ falls back to the full matrix when its criterion has no negative
 eigenvalue, since the span then holds no unique answer. Directions agree
 with the full solve to rounding, not in every bit, so a wide layer's
 weights depend on which path it takes; a first layer, with its few
-inputs, always takes the full one.
+inputs, always takes the full one. The criteria take the pair's responses
+alone and make their own intermediates, so a thread's ``_NeuronScratch``
+holds only the buffers that every neuron of its blocks reuses.
+
+A layer above the first is built from the previous layer's boolean spike
+mask over the initialization batch. The build casts it to floats itself,
+so that copy lives only while the layer is built.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ import numpy as np
 
 from .errors import DegenerateNeuronError, TrivialPairError
 from .kernels import KernelSpec
-from .network import LayerParams, _leading, _split_run, kernel_conv_stack
+from .network import LayerParams, _split_run, kernel_conv_stack
 from .sampling import PairProbabilities, sample_pair
 
 STD_FLOOR = 1e-12
@@ -98,31 +104,26 @@ def _fix_sign(w: np.ndarray) -> np.ndarray:
     return -w if w[k] < 0 else w
 
 
-# ``out`` (inputs, inputs) receives the criterion matrix and ``work`` its
-# intermediate: psi1's shape for the separation, (inputs, inputs) for the
-# overlap, which also holds the span [psi1 psi2] of ``weight_dot``'s wide
-# path. Both are optional; the layer builder passes buffers it owns.
+def separation_matrix(psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
+    diff = psi1 - psi2
+    return diff @ diff.T
 
 
-def separation_matrix(psi1: np.ndarray, psi2: np.ndarray, out=None, work=None) -> np.ndarray:
-    diff = np.subtract(psi1, psi2, out=work)
-    return np.matmul(diff, diff.T, out=out)
-
-
-def overlap_matrix(psi1: np.ndarray, psi2: np.ndarray, out=None, work=None) -> np.ndarray:
-    cross = np.matmul(psi1, psi2.T, out=work)
-    out = np.add(cross, cross.T, out=out)
+def overlap_matrix(psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
+    cross = psi1 @ psi2.T
+    out = cross + cross.T
     out *= 0.5
     return out
 
 
-def weight_dist(psi1: np.ndarray, psi2: np.ndarray, out=None, work=None) -> np.ndarray:
+def weight_dist(psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
     """Unit vector maximizing the squared voltage separation of a pair: the
     top eigenvector of D Dᵀ, D = psi1 - psi2.
 
     With more inputs than steps it is solved on the span of D's columns:
     D v / |D v| for the top eigenvector v of the (steps, steps) DᵀD, and
-    ``out`` goes unused. A narrower layer solves the full matrix.
+    the (inputs, inputs) matrix is never formed. A narrower layer solves
+    the full matrix.
     """
     psi1 = np.atleast_2d(np.asarray(psi1, dtype=float))
     psi2 = np.atleast_2d(np.asarray(psi2, dtype=float))
@@ -132,25 +133,23 @@ def weight_dist(psi1: np.ndarray, psi2: np.ndarray, out=None, work=None) -> np.n
         raise TrivialPairError("identical contributions give a zero criterion matrix")
     n_prev, n_steps = psi1.shape
     if n_prev > n_steps:
-        diff = np.subtract(psi1, psi2, out=work)
+        diff = psi1 - psi2
         _, vecs = np.linalg.eigh(diff.T @ diff)
         w = diff @ vecs[:, -1]
         return _fix_sign(w / np.linalg.norm(w))
-    a = separation_matrix(psi1, psi2, out, work)
+    a = separation_matrix(psi1, psi2)
     _, vecs = np.linalg.eigh(a)
     return _fix_sign(vecs[:, -1])
 
 
-def _dot_on_span(psi1: np.ndarray, psi2: np.ndarray, work) -> np.ndarray | None:
-    """``weight_dot``'s direction from the span of P = [psi1 psi2], which is
-    built in ``work``. With P = QR and R = [R1 R2] the overlap matrix is
-    A = Q S Qᵀ, S = ½(R1 R2ᵀ + R2 R1ᵀ), so for S's smallest eigenpair
-    (λ, u) the direction is w = Q u. None unless λ is clearly negative:
-    A's smallest eigenvalue is 0 otherwise, and the span holds no unique
-    answer."""
-    n_prev, n_steps = psi1.shape
-    span = None if work is None else _leading(work, (n_prev, 2 * n_steps))
-    r = np.linalg.qr(np.concatenate((psi1, psi2), axis=1, out=span), mode="r")
+def _dot_on_span(psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray | None:
+    """``weight_dot``'s direction from the span of P = [psi1 psi2]. With
+    P = QR and R = [R1 R2] the overlap matrix is A = Q S Qᵀ,
+    S = ½(R1 R2ᵀ + R2 R1ᵀ), so for S's smallest eigenpair (λ, u) the
+    direction is w = Q u. None unless λ is clearly negative: A's smallest
+    eigenvalue is 0 otherwise, and the span holds no unique answer."""
+    n_steps = psi1.shape[1]
+    r = np.linalg.qr(np.concatenate((psi1, psi2), axis=1), mode="r")
     r1, r2 = r[:, :n_steps], r[:, n_steps:]
     s = r1 @ r2.T
     s = s + s.T
@@ -172,7 +171,7 @@ def _dot_on_span(psi1: np.ndarray, psi2: np.ndarray, work) -> np.ndarray | None:
     return _fix_sign(w / np.linalg.norm(w))
 
 
-def weight_dot(psi1: np.ndarray, psi2: np.ndarray, out=None, work=None) -> np.ndarray:
+def weight_dot(psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
     """Unit vector minimizing the voltage overlap of a pair: the eigenvector
     of the smallest eigenvalue of A = ½(psi1 psi2ᵀ + psi2 psi1ᵀ).
 
@@ -189,10 +188,10 @@ def weight_dot(psi1: np.ndarray, psi2: np.ndarray, out=None, work=None) -> np.nd
         raise ValueError("pair contributions must have equal shapes")
     n_prev, n_steps = psi1.shape
     if n_prev > 2 * n_steps:
-        w = _dot_on_span(psi1, psi2, work)
+        w = _dot_on_span(psi1, psi2)
         if w is not None:
             return w
-    a = overlap_matrix(psi1, psi2, out, work)
+    a = overlap_matrix(psi1, psi2)
     if not np.any(a):
         w = np.zeros(n_prev)
         w[0] = 1.0
@@ -313,8 +312,6 @@ class _NeuronScratch:
     """Buffers one thread reuses for every block of neurons it builds."""
 
     psi: np.ndarray     # (2, inputs, steps): a pair's responses
-    work: np.ndarray    # the criterion's intermediate, flat
-    crit: np.ndarray    # (inputs, inputs): the criterion matrix
     rows: np.ndarray    # (NEURON_BLOCK, inputs): the block's unit directions
     drives: np.ndarray  # (NEURON_BLOCK, samples, steps): their input sums
     trace: np.ndarray   # (samples, steps): one neuron's voltage traces
@@ -323,8 +320,6 @@ class _NeuronScratch:
     def allocate(cls, n_samples: int, n_prev: int, n_steps: int) -> "_NeuronScratch":
         return cls(
             psi=np.empty((2, n_prev, n_steps)),
-            work=np.empty(n_prev * max(n_prev, n_steps)),
-            crit=np.empty((n_prev, n_prev)),
             rows=np.empty((NEURON_BLOCK, n_prev)),
             drives=np.empty((NEURON_BLOCK, n_samples, n_steps)),
             trace=np.empty((n_samples, n_steps)),
@@ -338,15 +333,12 @@ def _direction(drawn, latents: np.ndarray, conv: np.ndarray, cfg,
     when the pair gives no criterion."""
     if cfg.weight_criterion == "random":
         return drawn
-    n_prev, n_steps = latents.shape[1:]
     psi1, psi2 = scratch.psi
     np.matmul(latents[drawn[0]], conv.T, out=psi1)
     np.matmul(latents[drawn[1]], conv.T, out=psi2)
     if cfg.weight_criterion == "dist":
-        work = scratch.work[: n_prev * n_steps].reshape(n_prev, n_steps)
-        return weight_dist(psi1, psi2, scratch.crit, work)
-    work = scratch.work[: n_prev * n_prev].reshape(n_prev, n_prev)
-    return weight_dot(psi1, psi2, scratch.crit, work)
+        return weight_dist(psi1, psi2)
+    return weight_dot(psi1, psi2)
 
 
 def _normalize(drive: np.ndarray, conv: np.ndarray, cfg,
@@ -368,11 +360,12 @@ def build_hidden_layer(layer_index: int, n_layers: int, n_neurons: int,
                        cfg, rng: np.random.Generator) -> tuple[LayerParams, dict]:
     """Assemble one hidden layer over the initialization batch.
 
-    ``latents`` is the dense (samples, channels, steps) output of the
-    previous layer (the padded input for the first layer), and ``pairs``
-    the pair distribution over its samples (None for the random
-    criterion, which draws no pairs). ``cfg`` supplies the temporal bounds,
-    weight criterion, normalizer and retry count.
+    ``latents`` is the (samples, channels, steps) output of the previous
+    layer, its boolean spike mask, or the padded input for the first layer;
+    a mask is read through a float copy made here, which lives only for the
+    build. ``pairs`` is the pair distribution over its samples (None for
+    the random criterion, which draws no pairs). ``cfg`` supplies the
+    temporal bounds, weight criterion, normalizer and retry count.
 
     Every neuron's first draw is made here, in neuron order; the neurons
     are then solved on threads. A neuron whose draw yields a degenerate
@@ -393,6 +386,7 @@ def build_hidden_layer(layer_index: int, n_layers: int, n_neurons: int,
         layer_index, n_layers, n_neurons, obs_len, horizon,
         cfg.sigma_min, cfg.sigma_max, cfg.sigma_cycle,
     )
+    latents = np.asarray(latents, dtype=float)
     n_samples, n_prev, n_steps = latents.shape
 
     q0 = rfk_spec.evaluate(0.0)
@@ -484,7 +478,7 @@ def build_hidden_layer(layer_index: int, n_layers: int, n_neurons: int,
                 break
         else:
             raise DegenerateNeuronError(
-                f"layer {layer_index}: neuron {first} stayed degenerate "
+                f"neuron {first} stayed degenerate "
                 f"after {cfg.max_retries} retries"
             )
         start = first + 1

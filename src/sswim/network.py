@@ -37,10 +37,13 @@ spike count: a 32-sample block of a 250-neuron, 88-step layer took
 positions that fire in a trained layer, about as long at 13%, and
 13.1-13.6 ms at 94%.
 
-``simulate_hidden_stack`` runs the samples in blocks of ``BLOCK``, each
-block through every layer in turn, and zero-pads the last block, so every
-conv product has ``BLOCK`` rows and a window's spikes do not depend on the
-batch it comes in. Each layer's conv stack is built once per call.
+``simulate_hidden_stack`` takes observation windows as they come, float
+or boolean and up to the grid's length, and returns the last layer's spike
+mask. It runs the samples in blocks of ``BLOCK``, each block through every
+layer in turn: it copies each block into a buffer zero-padded to ``BLOCK``
+rows and to the grid's steps, so every conv product has ``BLOCK`` rows and
+a window's spikes do not depend on the batch it comes in. Each layer's
+conv stack is built once per call.
 
 The output layer is linear too, so its read-out applies the weights
 first: one (outputs, neurons) product per sample contracts the spikes to
@@ -278,7 +281,9 @@ def _pending_views(buf: np.ndarray, n_positions: int, n_lags: int):
 class _BlockScratch:
     """One thread's buffers for running blocks of ``BLOCK`` samples through
     a hidden stack, sized for its widest layer; each layer uses views of
-    their leading elements.
+    their leading elements. ``hidden_drive_batch`` and
+    ``simulate_hidden_batch``, called alone, allocate one for their whole
+    batch (``n_samples``).
 
     The projection is dead once the drive is built, so ``projected`` then
     holds the bias over the steps and, in the step loop, the pending
@@ -295,13 +300,13 @@ class _BlockScratch:
     keys: np.ndarray        # the step loop's position keys
 
     @classmethod
-    def allocate(cls, n_inputs: int, n_neurons: int, n_steps: int,
-                 n_lags: int) -> "_BlockScratch":
-        size = BLOCK * n_neurons * n_steps
-        return cls(inputs=np.empty(BLOCK * n_inputs * n_steps),
-                   projected=np.empty(max(size, 5 * n_lags * BLOCK * n_neurons)),
+    def allocate(cls, n_inputs: int, n_neurons: int, n_steps: int, n_lags: int,
+                 n_samples: int = BLOCK) -> "_BlockScratch":
+        size = n_samples * n_neurons * n_steps
+        return cls(inputs=np.empty(n_samples * n_inputs * n_steps),
+                   projected=np.empty(max(size, 5 * n_lags * n_samples * n_neurons)),
                    drive=np.empty(size), volt=np.empty(size),
-                   spiked=np.empty(size, dtype=bool), keys=_position_keys(BLOCK * n_neurons))
+                   spiked=np.empty(size, dtype=bool), keys=_position_keys(n_samples * n_neurons))
 
 
 # ---------------------------------------------------------------------------
@@ -352,18 +357,17 @@ def hidden_drive_batch(layer: LayerParams, dense_in: np.ndarray, stack: np.ndarr
 
     Exploits linearity: the weighted sum of per-channel kernel responses
     equals the kernel response of the weighted input sum. ``stack`` is the
-    layer's conv stack, built here when not given; with ``scratch`` the
-    projection and the drive are written into its buffers, and the drive
-    is returned as a view of them.
+    layer's conv stack, built here when not given. The projection and the
+    drive are written into ``scratch``'s buffers, allocated here for the
+    batch when not given, and the drive is returned as a view of them.
     """
     n_samples, n_steps = dense_in.shape[0], dense_in.shape[-1]
     if stack is None:
         stack = kernel_conv_stack(layer.pspk, layer.delay, layer.support, n_steps)
-    shape = (n_samples, layer.n_neurons, n_steps)
     if scratch is None:
-        projected, drive = np.empty(shape), np.empty(shape)
-    else:
-        projected, drive = _leading(scratch.projected, shape), _leading(scratch.drive, shape)
+        scratch = _BlockScratch.allocate(layer.n_inputs, layer.n_neurons, n_steps, 0, n_samples)
+    shape = (n_samples, layer.n_neurons, n_steps)
+    projected, drive = _leading(scratch.projected, shape), _leading(scratch.drive, shape)
     np.matmul(layer.weights, dense_in, out=projected)   # one gemm per sample
     # one (samples, steps) @ (steps, steps) product per neuron
     np.matmul(projected.transpose(1, 0, 2), stack.transpose(0, 2, 1),
@@ -394,8 +398,8 @@ def simulate_hidden_batch(layer: LayerParams, dense_in: np.ndarray,
     The time loop is sequential: each step's voltage includes the spike
     cost of strictly earlier spikes only. It runs on time-major
     (steps, samples, neurons) arrays, so every per-step row is contiguous;
-    the results are transposed views of them, views of ``scratch``'s
-    buffers when it is given. ``stack`` is passed on to
+    the results are transposed views of them in ``scratch``'s buffers,
+    allocated here for the batch when not given. ``stack`` is passed on to
     ``hidden_drive_batch``.
 
     A step adds only the costs of the spikes of its last D steps: their
@@ -409,19 +413,17 @@ def simulate_hidden_batch(layer: LayerParams, dense_in: np.ndarray,
     """
     if not layer.is_hidden:
         raise ValueError("simulate_hidden_batch needs a hidden layer")
-    drive = hidden_drive_batch(layer, dense_in, stack, scratch)
-    n_samples, n_neurons, n_steps = drive.shape
-    shape = (n_steps, n_samples, n_neurons)
+    n_samples, n_neurons, n_steps = dense_in.shape[0], layer.n_neurons, dense_in.shape[-1]
     # entry (d - 1) * neurons + i is neuron i's spike cost d steps after its spike
     cost_rows = (layer.spike_cost[:, None] * refractory_taps(layer)).T.ravel()
     n_lags = min(len(cost_rows) // n_neurons, n_steps)
-    row = n_samples * n_neurons
     if scratch is None:
-        volt, spiked = np.empty(shape), np.empty(shape, dtype=bool)
-        keys, pending = _position_keys(row), np.empty(5 * n_lags * row)
-    else:
-        volt, spiked = _leading(scratch.volt, shape), _leading(scratch.spiked, shape)
-        keys, pending = scratch.keys[:, :row], scratch.projected   # the projection is dead
+        scratch = _BlockScratch.allocate(layer.n_inputs, n_neurons, n_steps, n_lags, n_samples)
+    drive = hidden_drive_batch(layer, dense_in, stack, scratch)
+    shape = (n_steps, n_samples, n_neurons)
+    row = n_samples * n_neurons
+    volt, spiked = _leading(scratch.volt, shape), _leading(scratch.spiked, shape)
+    keys, pending = scratch.keys[:, :row], scratch.projected   # the projection is dead
     for m in range(n_samples):
         volt[:, m] = drive[m].T   # sample by sample: each block stays in cache
     order, later, key = keys
@@ -453,65 +455,70 @@ def simulate_hidden_batch(layer: LayerParams, dense_in: np.ndarray,
     return spiked.transpose(1, 2, 0), volt.transpose(1, 2, 0)
 
 
-def simulate_hidden_stack(layers, dense_in: np.ndarray) -> list:
-    """Spike masks (samples, neurons, steps) of every hidden layer in
-    ``layers`` for a dense input batch.
+def simulate_hidden_stack(layers, inputs: np.ndarray, n_steps: int) -> np.ndarray:
+    """The last hidden layer's spike mask (samples, neurons, n_steps) for a
+    (samples, channels, steps) batch of float windows or a boolean mask,
+    ``steps`` at most ``n_steps``.
 
     The samples run in blocks of ``BLOCK``, each block through every layer
-    before the next starts, and the last block is zero-padded to full size,
-    so a window's spikes do not depend on the batch it comes in. Each
-    layer's conv stack is built once per call. The blocks are split over
-    threads by ``_split_run``, and each thread runs its blocks one at a time
-    in its own ``_BlockScratch``.
+    before the next starts. Each block is copied into its thread's float
+    buffer, zero-padded to ``BLOCK`` rows and to ``n_steps`` steps, so a
+    window's spikes do not depend on the batch it comes in. Each layer's
+    conv stack is built once per call. The blocks are split over threads
+    by ``_split_run``, and each thread runs its blocks one at a time in its
+    own ``_BlockScratch``.
     """
-    if not layers:
-        return []
-    n_samples, n_steps = dense_in.shape[0], dense_in.shape[-1]
-    masks = [np.empty((n_samples, layer.n_neurons, n_steps), dtype=bool) for layer in layers]
+    n_samples, n_channels, width = inputs.shape
+    mask = np.empty((n_samples, layers[-1].n_neurons, n_steps), dtype=bool)
     stacks = [kernel_conv_stack(layer.pspk, layer.delay, layer.support, n_steps)
               for layer in layers]
-    widths = [dense_in.shape[1]] + [layer.n_neurons for layer in layers]
+    widths = [n_channels] + [layer.n_neurons for layer in layers]
     n_blocks = -(-n_samples // BLOCK)
 
     def run(lo, hi, scratch):
         for b in range(lo, hi):
             first, last = b * BLOCK, min(n_samples, (b + 1) * BLOCK)
-            block = dense_in[first: last]
-            if last - first < BLOCK:
-                block = _leading(scratch.inputs, (BLOCK,) + dense_in.shape[1:])
-                block[: last - first] = dense_in[first: last]
-                block[last - first:] = 0.0
-            for k, (layer, stack, mask) in enumerate(zip(layers, stacks, masks)):
+            n = last - first
+            block = _leading(scratch.inputs, (BLOCK, n_channels, n_steps))
+            block[:n, :, :width] = inputs[first: last]
+            block[:n, :, width:] = 0.0
+            block[n:] = 0.0
+            for k, (layer, stack) in enumerate(zip(layers, stacks)):
                 spiked, _ = simulate_hidden_batch(layer, block, stack, scratch)
-                mask[first: last] = spiked[: last - first]
                 if k + 1 < len(layers):   # the next layer's float input
                     block = _leading(scratch.inputs, spiked.shape)
                     np.copyto(block, spiked)
+            mask[first: last] = spiked[:n]
 
     n_lags = max(min(refractory_taps(layer).shape[1], n_steps) for layer in layers)
     _split_run(run, n_blocks, n_blocks * BLOCK * sum(widths[1:]) * n_steps,
                lambda: _BlockScratch.allocate(max(widths[:-1]), max(widths[1:]), n_steps,
                                               n_lags))
-    return masks
+    return mask
 
 
 def output_voltages_batch(layer: LayerParams, spikes: np.ndarray,
                           window: tuple[int, int]) -> np.ndarray:
     """Affine read-out on a window for a (samples, neurons, steps) batch of
-    spike masks or indicators: (samples, outputs, window steps).
+    spike masks or indicators: (samples, outputs, window steps). Inputs
+    that end before the window does are zero-padded to its end.
 
     The spikes are cast to float ``BLOCK`` samples at a time into one
-    buffer. The weights are applied first, one gemm per sample, then each
-    output's window kernel, the window rows of its conv stack, one
-    (1, steps) @ (steps, window) product per sample and output, so a
+    zero-padded buffer. The weights are applied first, one gemm per sample,
+    then each output's window kernel, the window rows of its conv stack,
+    one (1, steps) @ (steps, window) product per sample and output, so a
     window's read-out does not depend on its batch.
     """
-    n_samples, _, n_steps = spikes.shape
+    n_samples, n_inputs, width = spikes.shape
+    n_steps = max(width, window[1])
     projected = np.empty((n_samples, layer.n_neurons, n_steps))
-    block = np.empty((min(BLOCK, n_samples),) + spikes.shape[1:])
+    # the padding zeroed by hand: a calloc'd block (np.zeros) raised the
+    # peak RSS of later trainings in one process by 2-3 MB (deep workload)
+    block = np.empty((min(BLOCK, n_samples), n_inputs, n_steps))
+    block[:, :, width:] = 0.0
     for lo in range(0, n_samples, BLOCK):
         hi = min(lo + BLOCK, n_samples)
-        np.copyto(block[: hi - lo], spikes[lo: hi])
+        block[: hi - lo, :, :width] = spikes[lo: hi]
         np.matmul(layer.weights, block[: hi - lo], out=projected[lo: hi])
     stack = kernel_conv_stack(layer.pspk, layer.delay, layer.support, n_steps)
     kernels = np.ascontiguousarray(

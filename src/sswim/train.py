@@ -7,11 +7,18 @@ supports, and solves the regularized output weights on the full training
 split with the regularization strength validated on the validation split.
 Everything is deterministic given the seed.
 
-The weights phase simulates the hidden stack once per split into one
-boolean spike mask, reusing the initialization windows' masks, and sums
-the normal equations over fixed views of ``FIT_SAMPLES`` samples of it.
-The eval phase reads the same masks for the spike counts and the train and
-validation read-outs.
+Each hidden layer is built on the initialization windows, zero-padded to
+the full grid, for the first layer, and on the previous layer's boolean
+spike mask over them for the others. The weights phase simulates the
+hidden stack once per split into one boolean spike mask of the last
+layer, reusing the initialization windows' masks, and sums the normal
+equations over fixed views of ``FIT_SAMPLES`` samples of it. The eval
+phase reads the same masks for the spike counts and the train and
+validation read-outs. The forward pass takes the observation windows as
+they come and pads them itself.
+
+A failure names its phase and, in the hidden build, its layer
+(``PipelineError.layer``).
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import numpy as np
 
 from .config import ModelArch, SswimConfig
 from .datasets import ForecastDataset, rse
-from .errors import DegenerateDistributionError, PipelineError, SswimError
+from .errors import PipelineError, SswimError
 from .hidden import build_hidden_layer
 from .kernels import pspk, rfk
 from .network import (
@@ -115,13 +122,6 @@ def _phase(name: str, timings: dict):
         timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
 
 
-def _pad_inputs(inputs: np.ndarray, total_steps: int) -> np.ndarray:
-    """Zero-pad (samples, channels, obs) inputs to the full grid."""
-    padded = np.zeros(inputs.shape[:2] + (total_steps,))
-    padded[:, :, : inputs.shape[2]] = inputs
-    return padded
-
-
 def _candidate_metrics(cfg: SswimConfig, lift: VanRossumLift | None):
     cands_in = [Pseudometric(EmbeddingSpec.parse(c), lift) for c in cfg.metric_candidates]
     cands_out = [Pseudometric(EmbeddingSpec.parse(c)) for c in cfg.metric_candidates]
@@ -152,8 +152,7 @@ def _split_spikes(layers, dataset: ForecastDataset, starts, total_steps: int,
             return known[1], targets
     # the rest is simulated before the whole mask is made, so the forward
     # pass's buffers are freed by then
-    dense = _pad_inputs(dataset.input_batch(starts[rest]), total_steps)
-    simulated = simulate_hidden_stack(layers, dense)[-1]
+    simulated = simulate_hidden_stack(layers, dataset.input_batch(starts[rest]), total_steps)
     if known is None:
         return simulated, targets
     mask = np.empty((len(starts),) + simulated.shape[1:], dtype=bool)
@@ -171,13 +170,13 @@ def predict_batch(model: SnnModel, inputs: np.ndarray,
                   batch_size: int = 256) -> np.ndarray:
     """The forward pass: predictions (samples, d_out, horizon) on the
     forecast window for raw (samples, d_in, steps) observation windows,
-    zero-padded to the model's grid."""
-    grid = model.grid
+    which the forward pass zero-pads to the model's grid block by block."""
+    grid, hidden = model.grid, model.layers[:-1]
     preds = []
     for lo in range(0, inputs.shape[0], batch_size):
-        dense = _pad_inputs(inputs[lo: lo + batch_size], grid.total_steps)
-        masks = simulate_hidden_stack(model.layers[:-1], dense)
-        spikes = masks[-1] if masks else dense
+        spikes = inputs[lo: lo + batch_size]
+        if hidden:
+            spikes = simulate_hidden_stack(hidden, spikes, grid.total_steps)
         preds.append(output_voltages_batch(model.layers[-1], spikes, grid.window))
     return np.concatenate(preds, axis=0)
 
@@ -223,23 +222,22 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
             )
         pick = np.sort(rng_subbatch.choice(len(train_starts), size=m_sub, replace=False))
         xi_starts = train_starts[pick]
-        latents = _pad_inputs(dataset.input_batch(xi_starts), total_steps)
+        # the first layer's metrics centre and embed the whole grid
+        latents = np.zeros((m_sub, d_in, total_steps))
+        latents[:, :, :obs_len] = dataset.input_batch(xi_starts)
         targets_xi = dataset.target_batch(xi_starts)
         for layer_index, n_neurons in enumerate(arch.hidden, start=1):
-            lift = None
-            if layer_index > 1:
-                # the metrics read the mask as it is, and only the layer build
-                # its float copy, so the two are never held at once
-                latents = masks_xi
-                lift = VanRossumLift(
-                    hidden_pspk,
-                    cfg.sigma_min if cfg.lift_support is None else cfg.lift_support,
-                )
-            if cfg.weight_criterion == "random":
-                # weights ignore the pair distribution; no metric is consulted
-                pairs, names = None, ("none", "none")
-            else:
-                try:
+            try:
+                lift = None
+                if layer_index > 1:
+                    lift = VanRossumLift(
+                        hidden_pspk,
+                        cfg.sigma_min if cfg.lift_support is None else cfg.lift_support,
+                    )
+                if cfg.weight_criterion == "random":
+                    # weights ignore the pair distribution; no metric is consulted
+                    pairs, names = None, ("none", "none")
+                else:
                     if cfg.metric_mode == "entropy":
                         cands_in, cands_out = _candidate_metrics(cfg, lift)
                         d_in_metric, d_out_metric, pairs = select_metrics(
@@ -253,20 +251,19 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
                             latents, targets_xi, d_in_metric, d_out_metric,
                             eps=cfg.epsilon, min_norm=cfg.min_norm,
                         )
-                except DegenerateDistributionError as exc:
-                    raise DegenerateDistributionError(f"layer {layer_index}: {exc}") from exc
-                names = (d_in_metric.name, d_out_metric.name)
+                    names = (d_in_metric.name, d_out_metric.name)
+                layer, _ = build_hidden_layer(
+                    layer_index, n_layers, n_neurons, hidden_pspk, hidden_rfk,
+                    latents, obs_len, horizon, pairs, cfg, rng_layers,
+                )
+                # the layer's boolean spike mask over X_I: the next layer's input
+                latents = simulate_hidden_stack([layer], latents, total_steps)
+            except (SswimError, ValueError) as exc:
+                raise PipelineError("hidden_build", exc, layer=layer_index) from exc
             if layer_index == 1:
                 report.metric_in, report.metric_out = names
-            else:
-                latents = masks_xi.astype(float)
-            layer, _ = build_hidden_layer(
-                layer_index, n_layers, n_neurons, hidden_pspk, hidden_rfk,
-                latents, obs_len, horizon, pairs, cfg, rng_layers,
-            )
             hidden_layers.append(layer)
-            masks_xi = simulate_hidden_stack([layer], latents)[0]
-        del latents   # the last layer's float input: dead from here on
+        masks_xi = latents
         report.spike_counts = masks_xi.sum(axis=(0, 2)).astype(np.int64)
 
     with _phase("delays", timings):

@@ -244,11 +244,12 @@ class TestTrainCommand:
     def test_constant_series_names_the_failing_layer(self, tmp_path, capsys):
         series = tmp_path / "constant.csv"
         series.write_text("a,b\n" + "1.0,2.0\n" * 420)
-        path, _ = write_config(tmp_path)
+        path, out = write_config(tmp_path)
         text = path.read_text()
         path.write_text(text.replace(text.splitlines()[1], f"  csv: {series}"))
         assert main(["train", "--config", str(path)]) == 1
         assert "phase 'hidden_build' failed: layer 1: " in capsys.readouterr().err
+        assert not out.exists()   # a failed run leaves no empty output directory
 
     def test_metric_selection_failure_names_its_layer(self, tmp_path, monkeypatch, capsys):
         from sswim import train

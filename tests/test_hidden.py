@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from sswim import hidden, network
+from sswim import hidden, network, train
 from sswim.config import ModelArch, SswimConfig
 from sswim.datasets import make_windows, synth_dataset
 from sswim.errors import DegenerateNeuronError, PipelineError, TrivialPairError
@@ -192,7 +192,7 @@ class TestSpanSolve:
         rng = np.random.default_rng(24)
         for _ in range(20):
             psi1, psi2 = wide_pair(rng)
-            assert hidden._dot_on_span(psi1, psi2, None) is not None
+            assert hidden._dot_on_span(psi1, psi2) is not None
             np.testing.assert_allclose(weight_dot(psi1, psi2), full_dot(psi1, psi2),
                                        rtol=1e-10, atol=1e-10)
 
@@ -214,11 +214,8 @@ class TestSpanSolve:
             psi2[:, :6] = 0.0
         else:
             psi2[:] = 0.0
-        assert hidden._dot_on_span(psi1, psi2, None) is None
-        out, work = np.empty((40, 40)), np.empty((40, 40))
-        want = full_dot(psi1, psi2).tobytes()
-        assert weight_dot(psi1, psi2).tobytes() == want
-        assert weight_dot(psi1, psi2, out, work).tobytes() == want
+        assert hidden._dot_on_span(psi1, psi2) is None
+        assert weight_dot(psi1, psi2).tobytes() == full_dot(psi1, psi2).tobytes()
 
     def test_wide_pairs_never_form_the_full_matrix(self, monkeypatch):
         def full_matrix(*args, **kwargs):
@@ -227,10 +224,7 @@ class TestSpanSolve:
         monkeypatch.setattr(hidden, "overlap_matrix", full_matrix)
         monkeypatch.setattr(hidden, "separation_matrix", full_matrix)
         psi1, psi2 = wide_pair(np.random.default_rng(29))
-        out = np.full((40, 40), np.nan)
-        weight_dot(psi1, psi2, out, np.empty((40, 40)))
-        weight_dist(psi1, psi2, out, np.empty((40, 12)))
-        assert np.isnan(out).all(), "the span paths leave out unused"
+        assert weight_dot(psi1, psi2).shape == weight_dist(psi1, psi2).shape == (40,)
 
     def test_narrow_pairs_keep_the_full_solve(self):
         rng = np.random.default_rng(28)
@@ -443,24 +437,28 @@ class TestBuildHiddenLayer:
         assert np.all(np.isfinite(layer.weights))
         assert np.all(np.isfinite(layer.bias))
 
+    @pytest.mark.parametrize("criterion", ["dist", "dot", "random"])
+    def test_a_spike_mask_builds_the_layer_of_its_float_copy(self, criterion):
+        rng = np.random.default_rng(34)
+        mask = small_latents(rng, channels=6) > 0.4   # as a layer above the first reads
+        l2 = Pseudometric(EmbeddingSpec("l2"))
+        pairs = None if criterion == "random" else pair_probabilities(
+            mask.astype(float), rng.normal(size=(40, 2, 12)), l2, l2)
+        built = []
+        for latents in (mask, mask.astype(float)):
+            layer, info = build_hidden_layer(
+                2, 2, 12, pspk(KernelFamily.HAT), rfk(KernelFamily.EXP), latents,
+                obs_len=36, horizon=12, pairs=pairs,
+                cfg=desk_cfg(weight_criterion=criterion), rng=np.random.default_rng(35),
+            )
+            built.append([a.tobytes() for a in (layer.weights, layer.bias, layer.spike_cost)]
+                         + [info["pairs"]])
+        assert built[0] == built[1]
+
     def test_ms_spike_cost_scales_with_target(self):
         layer, _, _ = self.build(normalizer="ms")
         # q(0) = 1 for the decaying exponential, so cost = -3 * std target
         np.testing.assert_allclose(layer.spike_cost, -1.5)
-
-
-@pytest.mark.parametrize("criterion, work_shape", [
-    (weight_dist, (5, 9)),
-    (weight_dot, (5, 5)),
-    (weight_dist, (40, 9)),   # more inputs than steps: the span path
-    (weight_dot, (40, 40)),   # more inputs than twice the steps: the span path
-])
-def test_criterion_buffers_give_the_same_direction(criterion, work_shape):
-    rng = np.random.default_rng(31)
-    inputs = work_shape[0]
-    psi1, psi2 = rng.normal(size=(2, inputs, 9))
-    out, work = np.empty((inputs, inputs)), np.empty(work_shape)
-    assert criterion(psi1, psi2, out, work).tobytes() == criterion(psi1, psi2).tobytes()
 
 
 def duplicate_pair_distribution(n_samples: int, weight: float) -> PairProbabilities:
@@ -597,14 +595,31 @@ class TestSplitHiddenBuild:
         assert split_layer("dist", **retried) == alone
 
     @pytest.mark.parametrize("workers", [1] + WORKERS)
-    def test_exhausted_retries_name_the_neuron(self, cpus, workers):
+    def test_exhausted_retries_name_the_neuron(self, monkeypatch, cpus, workers):
         first = serial_duplicate_draws()[2][0]
         cpus(workers)
         for layer_index in (1, 2):
             with pytest.raises(DegenerateNeuronError,
-                               match=f"neuron {first} stayed degenerate") as info:
+                               match=f"^neuron {first} stayed degenerate"):
                 split_layer("dist", duplicates=True, max_retries=0, layer_index=layer_index)
-            assert str(info.value).startswith(f"layer {layer_index}: ")
+        # the pipeline names the layer, once: every pair of the second layer
+        # is a sample with itself, whose dist criterion is zero
+        build = train.build_hidden_layer
+
+        def second_draws_duplicates(layer_index, *args):
+            if layer_index == 2:
+                monkeypatch.setattr(hidden, "sample_pair", lambda pairs, rng: (0, 0))
+            return build(layer_index, *args)
+
+        monkeypatch.setattr(train, "build_hidden_layer", second_draws_duplicates)
+        dataset = make_windows(synth_dataset("multisine", 2, 420, seed=7), obs_len=24, horizon=8)
+        cfg = SswimConfig(subbatch=60, sigma_min=3.0, sigma_max=12.0, sigma_cycle=5,
+                          weight_criterion="dist", max_retries=0)
+        with pytest.raises(PipelineError) as info:
+            train_sswim(dataset, ModelArch(hidden=(12, 10)), cfg, seed=11)
+        assert info.value.layer == 2
+        assert str(info.value) == ("phase 'hidden_build' failed: layer 2: "
+                                   "neuron 0 stayed degenerate after 0 retries")
 
     def test_worker_error_names_the_phase(self, monkeypatch, cpus):
         threads = []
@@ -620,6 +635,7 @@ class TestSplitHiddenBuild:
         with pytest.raises(PipelineError, match="injected") as info:
             train_sswim(dataset, ModelArch(hidden=(25,)), cfg, seed=11)
         assert info.value.phase == "hidden_build"
+        assert info.value.layer == 1
         assert threads and threading.main_thread() not in threads
 
 

@@ -286,12 +286,36 @@ class TestSimulatorMatchesReference:
     @pytest.mark.parametrize("n_samples", [2, 5, 1, BLOCK - 1, BLOCK, BLOCK + 1])
     def test_stack_masks_are_bit_identical(self, family, n_samples):
         layers, dense = self.setup(family, 1.0, seed=1, n_samples=n_samples)
-        masks = simulate_hidden_stack(layers, dense)
-        expected = reference_stack(layers, dense)
-        assert [m.shape for m in masks] == [m.shape for m in expected]
-        for mask, ref in zip(masks, expected):
+        # each layer's mask is the last one of the stack cut after it
+        for k, ref in enumerate(reference_stack(layers, dense), start=1):
+            mask = simulate_hidden_stack(layers[:k], dense, self.N_STEPS)
+            assert mask.shape == ref.shape
             assert mask.tobytes() == ref.tobytes()
-        assert masks[-1].any()
+        assert mask.any()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_samples", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_short_and_boolean_inputs_give_the_bytes_of_padded_floats(
+            self, monkeypatch, workers, n_samples):
+        monkeypatch.setattr(network, "_MIN_SLICE", 1)   # split even this small case
+        monkeypatch.setattr(network, "available_cpus", lambda: workers)
+        layers, dense = self.setup(KernelFamily.HAT, 1.0, seed=2, n_samples=n_samples)
+        width = self.N_STEPS - 9
+
+        def padded(inputs):
+            full = np.zeros(inputs.shape[:2] + (self.N_STEPS,))
+            full[:, :, :width] = inputs[:, :, :width]
+            return full
+
+        mask = simulate_hidden_stack(layers, padded(dense), self.N_STEPS)
+        assert mask.any()
+        short = simulate_hidden_stack(layers, dense[:, :, :width], self.N_STEPS)
+        assert short.tobytes() == mask.tobytes()
+        first = simulate_hidden_stack(layers[:1], dense, self.N_STEPS)
+        for spikes, as_float in ((first, first.astype(float)),
+                                 (first[:, :, :width], padded(first))):
+            assert (simulate_hidden_stack(layers[1:], spikes, self.N_STEPS).tobytes()
+                    == simulate_hidden_stack(layers[1:], as_float, self.N_STEPS).tobytes())
 
     @pytest.mark.parametrize("family", list(KernelFamily))
     @pytest.mark.parametrize("step", [1.0, 0.5])
@@ -470,16 +494,19 @@ class TestBatchIndependence:
     @given(case=two_layer_cases())
     def test_any_batch_size_gives_the_same_bytes(self, case):
         model, inputs = case
-        n_windows = inputs.shape[0]
-        dense = np.zeros(inputs.shape[:2] + (model.grid.total_steps,))
+        n_windows, n_steps = inputs.shape[0], model.grid.total_steps
+        dense = np.zeros(inputs.shape[:2] + (n_steps,))
         dense[:, :, : inputs.shape[2]] = inputs
         whole = predict_batch(model, inputs, batch_size=n_windows).tobytes()
-        masks = [m.tobytes() for m in simulate_hidden_stack(model.layers[:-1], dense)]
+        for k in (1, 2):   # each layer's mask
+            layers = model.layers[:k]
+            mask = simulate_hidden_stack(layers, dense, n_steps).tobytes()
+            for batch_size in (1, 2, 3, 17, n_windows):
+                parts = [simulate_hidden_stack(layers, inputs[lo: lo + batch_size], n_steps)
+                         for lo in range(0, n_windows, batch_size)]
+                assert np.concatenate(parts).tobytes() == mask
         for batch_size in (1, 2, 3, 17, n_windows):
             assert predict_batch(model, inputs, batch_size=batch_size).tobytes() == whole
-            parts = [simulate_hidden_stack(model.layers[:-1], dense[lo: lo + batch_size])
-                     for lo in range(0, n_windows, batch_size)]
-            assert [np.concatenate(layer).tobytes() for layer in zip(*parts)] == masks
 
     def test_predict_batch_peak_stays_below_one_float_batch(self, monkeypatch):
         # the float buffers of the forward pass hold one block per thread
@@ -550,6 +577,11 @@ class TestOutputVoltages:
                              support=rng.uniform(2.0, 12.0, 3) / step, family=family)
         window = (20, 30)
         out = output_voltages_batch(layer, mask, window)
+        # a mask that ends before the window is read as if zero-padded to its end
+        ended = mask.copy()
+        ended[:, :, 24:] = False
+        assert output_voltages_batch(layer, mask[:, :, :24], window).tobytes() == \
+            output_voltages_batch(layer, ended, window).tobytes()
         for i in range(3):
             design = assemble_design(mask.astype(float), layer.placed_kernel(i), window)
             expected = design @ np.concatenate([[layer.bias[i]], layer.weights[i]])
@@ -576,9 +608,9 @@ class TestForward:
                          grid=GridSpec(total_steps=20, horizon=5))
         pred = predict_batch(model, np.zeros((1, 2, 15)))
         np.testing.assert_allclose(pred, 0.25)
-        hidden = simulate_hidden_stack(model.layers[:-1], np.zeros((1, 2, 20)))
-        assert len(hidden) == 1
-        assert hidden[0].all()
+        hidden = simulate_hidden_stack(model.layers[:-1], np.zeros((1, 2, 15)), 20)
+        assert hidden.shape == (1, 3, 20)
+        assert hidden.all()
 
     def test_forward_is_deterministic(self):
         model = tiny_model()
@@ -603,6 +635,10 @@ class TestForward:
         preds = predict_batch(model, inputs, batch_size=batch_size)
         for x, pred in zip(inputs, preds):
             np.testing.assert_array_equal(pred, predict_batch(model, x[None])[0])
+        # raw windows predict as if zero-padded to the grid
+        padded = np.zeros((5, 2, 24))
+        padded[:, :, :16] = inputs
+        assert predict_batch(model, padded, batch_size=batch_size).tobytes() == preds.tobytes()
 
     def test_prediction_is_finite(self):
         model = tiny_model()
@@ -629,7 +665,8 @@ def split_outputs(model, inputs):
     dense = np.zeros(inputs.shape[:2] + (model.grid.total_steps,))
     dense[:, :, :inputs.shape[2]] = inputs
     spiked, volt = simulate_hidden_batch(model.layers[0], dense)
-    masks = simulate_hidden_stack(model.layers[:-1], dense)
+    masks = [simulate_hidden_stack(model.layers[:k], inputs, model.grid.total_steps)
+             for k in (1, 2)]
     readout = output_voltages_batch(model.layers[-1], masks[-1].astype(float),
                                     model.grid.window)
     return [spiked.tobytes(), volt.tobytes(), *(m.tobytes() for m in masks),
@@ -726,7 +763,7 @@ class TestSplitForwardPass:
         layer = hidden_layer([[1.0, 2.0]], 0.0, delay=0.0, support=2.0, cost=0.0,
                              rf_support=1.0)
         with pytest.raises(ValueError):
-            simulate_hidden_stack([layer], np.ones((2 * BLOCK, 3, 8)))
+            simulate_hidden_stack([layer], np.ones((2 * BLOCK, 3, 8)), 8)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_runs_a_forward_pass(self, monkeypatch):
