@@ -212,15 +212,17 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def _at_least_one(text: str) -> int:
-    """An ``--threads`` value: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
-    return value
+def _at_least(low: int):
+    """The argparse type of an integer flag of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer of at least {low}, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train one model per configured seed")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--seed", type=int, default=None, help="override the seed list")
+    p_train.add_argument("--seed", type=_at_least(0), default=None, help="override the seed list")
     p_train.add_argument("--out", default=None, help="output directory override")
     p_train.set_defaults(func=cmd_train)
 
@@ -244,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_abl = sub.add_parser("ablate", help="run the configured ablation sweep")
     p_abl.add_argument("--config", required=True)
-    p_abl.add_argument("--threads", type=_at_least_one, default=None)
+    p_abl.add_argument("--threads", type=_at_least(1), default=None)
     p_abl.add_argument("--out", default=None)
     p_abl.set_defaults(func=cmd_ablate)
 

@@ -86,7 +86,6 @@ class SswimConfig:
             raise ConfigError("min_norm must be non-negative")
         if self.lift_support is not None and self.lift_support <= 0.0:
             raise ConfigError("lift_support must be positive when set")
-        self.metric_candidates = tuple(self.metric_candidates)
         if not self.metric_candidates:
             raise ConfigError("metric_candidates must not be empty")
         metrics = [("metric_candidates", c) for c in self.metric_candidates]
@@ -161,6 +160,8 @@ class DatasetConfig:
                 raise ConfigError(f"dataset.synth steps: {exc}") from exc
             if self.noise_sigma < 0.0:
                 raise ConfigError("dataset.synth noise_sigma must be non-negative")
+        if not all(_is_finite(r) for r in self.ratios):
+            raise ConfigError(f"ratios must be finite numbers, not {list(self.ratios)}")
         self.ratios = tuple(float(r) for r in self.ratios)
         try:
             check_ratios(self.ratios)
@@ -176,8 +177,6 @@ class AblationConfig:
 
     def __post_init__(self):
         _check_fields(self)
-        self.criteria = tuple(self.criteria)
-        self.normalizers = tuple(self.normalizers)
         for name in ("criteria", "normalizers", "neuron_counts"):
             if not getattr(self, name):
                 raise ConfigError(f"ablation {name} must not be empty")
@@ -201,6 +200,8 @@ class RunConfig:
         _check_fields(self)
         if not self.seeds:
             raise ConfigError("run seeds must not be empty")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"run seeds must be non-negative, not {list(self.seeds)}")
         if self.threads < 1:
             raise ConfigError("run threads must be at least 1")
         try:
@@ -239,19 +240,25 @@ class RunConfig:
 
 def _check_fields(config) -> None:
     """Check each field of a config dataclass against its annotation, a
-    string since annotations are postponed: ``int``, ``float``, ``float |
-    None`` (finite numbers) and ``tuple[int, ...]``, which takes a list and
-    is stored as a tuple. The class checks the other fields itself."""
+    string since annotations are postponed: ``int``, ``float`` (a finite
+    number), ``str``, any of them ``| None``, ``tuple``, which takes a list,
+    and ``tuple[int, ...]``, a list of integers; a tuple is stored as one.
+    The class checks the other fields, and a tuple's items, itself."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if f.type == "int" and not _is_int(value):
+        kind = f.type.removesuffix(" | None")
+        if value is None and kind != f.type:
+            continue
+        if kind == "int" and not _is_int(value):
             raise ConfigError(f"{f.name} must be an integer, not {value!r}")
-        if f.type.startswith("float") and not (
-            _is_finite(value) or (value is None and f.type == "float | None")
-        ):
+        if kind == "float" and not _is_finite(value):
             raise ConfigError(f"{f.name} must be a finite number, not {value!r}")
-        if f.type == "tuple[int, ...]":
-            if not isinstance(value, (list, tuple)) or not all(_is_int(n) for n in value):
+        if kind == "str" and not isinstance(value, str):
+            raise ConfigError(f"{f.name} must be a string, not {value!r}")
+        if kind.startswith("tuple"):
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{f.name} must be a list, not {value!r}")
+            if kind == "tuple[int, ...]" and not all(_is_int(n) for n in value):
                 raise ConfigError(f"{f.name} must be a list of integers, not {value!r}")
             setattr(config, f.name, tuple(value))
 

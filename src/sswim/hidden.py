@@ -21,12 +21,14 @@ its neurons in blocks of ``NEURON_BLOCK``: move 2 gives each neuron of a
 block its direction, one product per sample then makes the input sums of
 the whole block, and moves 3-4 normalize its neurons one by one. So the
 initialization batch is read once per block, not once per neuron. The
-random stream stays serial: the calling thread makes every neuron's first
-draw in neuron order before any thread starts. A neuron that must be
-retried is settled alone on the calling thread, with the stream rewound
-to its draw, and the neurons after it are drawn and split over threads
-again. Every product has the shape the serial loop gives it, so layers,
-and model files, are bit for bit the same on any CPU count.
+calling thread makes every neuron's first draw from the layer's generator,
+in neuron order, before any thread starts. A neuron whose draw gives no
+weights is retried at once by its thread, settled alone from fresh draws
+of a stream of its own, seeded from the generator's seed, the layer and
+the neuron index. So retries never advance the layer's generator, and a
+neuron's draws depend on no other neuron. Every product has the shape the
+serial loop gives it, so layers, and model files, are bit for bit the
+same on any CPU count.
 
 The eigenproblem of move 2 is (inputs, inputs), but the pair's responses
 psi1, psi2 are (inputs, steps), so its answer lies in the span of their
@@ -367,14 +369,14 @@ def build_hidden_layer(layer_index: int, n_layers: int, n_neurons: int,
     the random criterion, which draws no pairs). ``cfg`` supplies the
     temporal bounds, weight criterion, normalizer and retry count.
 
-    Every neuron's first draw is made here, in neuron order; the neurons
-    are then solved on threads. A neuron whose draw yields a degenerate
-    criterion or a constant voltage stops its thread's range. The stream
-    is then rewound to the first such neuron's draw, that neuron is
-    retried on the calling thread with fresh draws up to
-    ``cfg.max_retries`` times, and the neurons after it are drawn and
-    solved on threads again. So the draws, the stream and the layer are
-    those of a serial loop on any number of threads.
+    Every neuron's first draw is taken from ``rng`` here, in neuron order,
+    so ``rng`` advances by exactly one draw per neuron; the neurons are
+    then solved on threads. A neuron whose draw yields a degenerate
+    criterion or a constant voltage is settled alone by its thread from
+    up to ``cfg.max_retries`` fresh draws of its own generator, seeded by
+    ``rng``'s seed sequence, ``layer_index`` and the neuron's index. So
+    the draws and the layer are the same on any number of threads, and
+    one neuron's retries change neither another neuron nor a later layer.
     """
     if cfg.weight_criterion not in ("dot", "dist", "random"):
         raise ValueError(f"unknown weight criterion: {cfg.weight_criterion!r}")
@@ -399,89 +401,67 @@ def build_hidden_layer(layer_index: int, n_layers: int, n_neurons: int,
     chosen_pairs = [None] * n_neurons
     convs = kernel_conv_stack(pspk_spec, assign.delay, assign.support, n_steps)
 
-    def draw():
+    def draw(gen):
         if cfg.weight_criterion == "random":
-            return weight_random(n_prev, rng)
-        return sample_pair(pairs, rng)
+            return weight_random(n_prev, gen)
+        return sample_pair(pairs, gen)
+
+    draws = [draw(rng) for _ in range(n_neurons)]
+    seq = rng.bit_generator.seed_seq
 
     def settle(lo, hi, drawn, scratch):
-        """Solve the neurons lo..hi-1 of one block from their draws, in
-        order, with one drive product. Returns the first neuron that gives
-        none, the ones before it settled, or None."""
+        """Solve the neurons lo..hi-1 of one block from their draws with one
+        drive product. Returns the neurons that give none, in order."""
         rows, drives = scratch.rows, scratch.drives
         rows.fill(0.0)
-        stop = hi
+        failed = []
         for i in range(lo, hi):
             try:
                 rows[i % NEURON_BLOCK] = _direction(drawn[i - lo], latents, convs[i], cfg, scratch)
-            except (TrivialPairError, DegenerateNeuronError):
-                stop = i
-                break
+            except TrivialPairError:
+                failed.append(i)
         # neuron-major, so that each neuron's drive is one contiguous
         # (samples, steps) array: a 4-input, 250-neuron layer over 1000
         # samples built in 0.23-0.29 s, against 0.30-0.36 s from strided views
         np.matmul(rows, latents, out=drives.transpose(1, 0, 2))
-        for i in range(lo, stop):
+        for i in [i for i in range(lo, hi) if i not in failed]:
             j = i % NEURON_BLOCK
             try:
                 norm = _normalize(drives[j], convs[i], cfg, scratch)
-            except (TrivialPairError, DegenerateNeuronError):
-                return i
+            except DegenerateNeuronError:
+                failed.append(i)
+                continue
             weights[i] = norm.scale * rows[j]
             bias[i] = norm.bias
             cost[i] = norm.cost_value / q0
             if pairs is not None:
                 chosen_pairs[i] = drawn[i - lo]
-        return stop if stop < hi else None
+        return sorted(failed)
 
-    def allocate():
-        return _NeuronScratch.allocate(n_samples, n_prev, n_steps)
+    def retry(i, scratch):
+        """Settle neuron i alone from fresh draws of its own stream."""
+        gen = np.random.default_rng(
+            np.random.SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key, layer_index, i)))
+        for _ in range(cfg.max_retries):
+            if not settle(i, i + 1, [draw(gen)], scratch):
+                return
+        raise DegenerateNeuronError(
+            f"neuron {i} stayed degenerate after {cfg.max_retries} retries")
 
-    states, draws = [None] * n_neurons, [None] * n_neurons
+    def solve(lo, hi, scratch):
+        ends = range(lo - lo % NEURON_BLOCK + NEURON_BLOCK, hi, NEURON_BLOCK)
+        bounds = [lo, *ends, hi]
+        for b, e in zip(bounds, bounds[1:]):
+            for i in settle(b, e, draws[b:e], scratch):
+                retry(i, scratch)
 
-    def solve_from(start):
-        """Draw for the neurons start.. in order, then settle them on
-        threads. Returns the first neuron that gives none, or None."""
-        for i in range(start, n_neurons):
-            states[i] = rng.bit_generator.state
-            draws[i] = draw()
-        failed = []
-
-        def solve(lo, hi, scratch):
-            lo, hi = start + lo, start + hi
-            ends = range(lo - lo % NEURON_BLOCK + NEURON_BLOCK, hi, NEURON_BLOCK)
-            bounds = [lo, *ends, hi]
-            for b, e in zip(bounds, bounds[1:]):
-                bad = settle(b, e, draws[b:e], scratch)
-                if bad is not None:
-                    failed.append(bad)
-                    return
-
-        # Counted: the criterion's (inputs, steps) x (steps, inputs)
-        # products. The rest of a neuron's work (many small numpy calls, the
-        # statistics' per-sample loop) mostly holds the GIL: on 2 vCPUs a
-        # 4-input, 250-neuron layer over 60 or 200 samples built 1.1-1.4x
-        # slower on two threads than on one.
-        n = n_neurons - start
-        _split_run(solve, n, n * n_prev * n_prev * n_steps, allocate)
-        return min(failed, default=None)
-
-    start = 0
-    while start < n_neurons:
-        first = solve_from(start)
-        if first is None:
-            break
-        rng.bit_generator.state = states[first]
-        scratch = allocate()
-        for _ in range(cfg.max_retries + 1):
-            if settle(first, first + 1, [draw()], scratch) is None:
-                break
-        else:
-            raise DegenerateNeuronError(
-                f"neuron {first} stayed degenerate "
-                f"after {cfg.max_retries} retries"
-            )
-        start = first + 1
+    # Counted: the criterion's (inputs, steps) x (steps, inputs) products.
+    # The rest of a neuron's work (many small numpy calls, the statistics'
+    # per-sample loop) mostly holds the GIL: on 2 vCPUs a 4-input,
+    # 250-neuron layer over 60 or 200 samples built 1.1-1.4x slower on two
+    # threads than on one.
+    _split_run(solve, n_neurons, n_neurons * n_prev * n_prev * n_steps,
+               lambda: _NeuronScratch.allocate(n_samples, n_prev, n_steps))
 
     layer = LayerParams(
         weights=weights,

@@ -1,13 +1,21 @@
+import contextlib
+import copy
 import csv
 import io
 import json
+import math
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sswim.cli import main
-from sswim.config import SswimConfig
+from sswim.config import AblationConfig, DatasetConfig, ModelArch, RunConfig, SswimConfig
 from sswim.errors import DegenerateDistributionError
 
 CONFIG = """\
@@ -105,6 +113,13 @@ BAD_VALUES = [
     ("run", "threads: 0", "threads"),
     ("run", "threads: -2", "threads"),
     ("run", "threads: true", "threads"),
+    ("run", "seeds: [-3]", "seeds"),
+    ("run", "seeds: [2, -1]", "seeds"),
+    ("run", "out_dir: 5", "out_dir"),
+    ("sswim", "metric_candidates: l2", "metric_candidates must be a list"),
+    ("sswim", "weight_criterion: 5", "weight_criterion"),
+    ("dataset", "ratios: [a, 0.2, 0.1]", "ratios"),
+    ("dataset", "ratios: [true, 0, 0]", "ratios"),
     ("architecture", "hidden: [10.7]", "hidden"),
     ("architecture", "hidden: [20, true]", "hidden"),
     ("architecture", 'hidden: ["3"]', "hidden"),
@@ -155,7 +170,59 @@ BAD_ABLATIONS = [
 ]
 
 
+# the (section, key, annotation) of every config field; the dataset's
+# synth_* fields are set through its synth block, without the prefix
+SYNTH_KEYS = {"synth_kind": "kind", "variables": "variables", "steps": "steps",
+              "synth_seed": "seed", "noise_sigma": "noise_sigma"}
+CONFIG_FIELDS = (
+    [("dataset.synth" if f.name in SYNTH_KEYS else "dataset", SYNTH_KEYS.get(f.name, f.name),
+      f.type) for f in fields(DatasetConfig)]
+    + [("architecture", f.name, f.type) for f in fields(ModelArch)]
+    + [("sswim", f.name, f.type) for f in fields(SswimConfig)]
+    + [("run", f.name, f.type) for f in fields(RunConfig) if f.name in ("seeds", "out_dir", "threads")]
+    + [("ablation", f.name, f.type) for f in fields(AblationConfig)]
+)
+
+VALID_DOC = yaml.safe_load(CONFIG.format(seeds="[1]", out="results") + ABLATION)
+
+
+def wrong_values(annotation):
+    """Values of every type ``annotation`` rejects: a float for an int, a
+    bool, a string, a number for a string or a list, a list, NaN or inf."""
+    kind = annotation.removesuffix(" | None")
+    wrong = [st.booleans(), st.just(math.nan), st.sampled_from([math.inf, -math.inf])]
+    if kind != "str":
+        wrong.append(st.text(max_size=6))
+    if not kind.startswith("tuple"):
+        wrong.append(st.lists(st.integers(0, 9), max_size=3))
+    if kind == "int":
+        wrong.append(st.floats(allow_nan=False, allow_infinity=False))
+    if kind == "str" or kind.startswith("tuple"):
+        wrong.append(st.integers() | st.floats(allow_nan=False, allow_infinity=False))
+    return st.one_of(wrong)
+
+
 class TestTrainCommand:
+    @pytest.mark.parametrize("section, key, annotation", CONFIG_FIELDS,
+                             ids=[f"{section}.{key}" for section, key, _ in CONFIG_FIELDS])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_wrong_typed_value_exits_two_naming_the_key(self, section, key, annotation, data):
+        value = data.draw(wrong_values(annotation), label=f"{section}.{key}")
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "run.yaml", Path(tmp) / "results"
+            doc = copy.deepcopy(VALID_DOC)
+            doc["run"]["out_dir"] = str(out)
+            target = doc["dataset"]["synth"] if section == "dataset.synth" else doc[section]
+            target[key] = value
+            path.write_text(yaml.safe_dump(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(["train", "--config", str(path)]) == 2
+            assert key in err.getvalue()
+            assert not out.exists()
+            assert [p.name for p in Path(tmp).iterdir()] == [path.name]
+
     def test_minimal_synth_run(self, tmp_path, capsys):
         cfg, out = write_config(tmp_path)
         assert main(["train", "--config", str(cfg)]) == 0
@@ -187,6 +254,24 @@ class TestTrainCommand:
         )
         assert main(["train", "--config", str(path)]) == 2
         assert "exist.csv" in capsys.readouterr().err
+
+    def test_non_string_csv_path_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # 1 would name a file descriptor to os.path.exists and open
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "run.yaml"
+        path.write_text("dataset:\n  csv: 1\n  observation: 24\n  horizon: 8\n")
+        assert main(["train", "--config", str(path)]) == 2
+        assert "csv must be a string" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
+
+    @pytest.mark.parametrize("seed", ["-2", "abc", "1.5"])
+    def test_bad_seed_flag_exits_two_before_any_output(self, tmp_path, capsys, seed):
+        path, out = write_config(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--config", str(path), "--seed", seed])
+        assert info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("section, line, named", BAD_VALUES,
                              ids=[line for _, line, _ in BAD_VALUES])

@@ -495,20 +495,39 @@ def split_layer(criterion, duplicates=False, max_retries=8, n_neurons=24, layer_
     return [a.tobytes() for a in params], info["pairs"], layer_rng.bit_generator.state
 
 
-def serial_duplicate_draws(n_neurons=24, seed=49):
-    """The pairs and final stream state of a serial loop that redraws every
-    (1, 0) pair, and the neurons whose first draw is (1, 0)."""
+def serial_duplicate_draws(n_neurons=24, seed=49, layer_index=1):
+    """The per-neuron reference of a layer whose (1, 0) pairs are retried:
+    each neuron's first draw comes from the layer's stream in neuron order,
+    and a (1, 0) pair is drawn again from the neuron's own generator, seeded
+    by the stream's seed, the layer and the neuron. Returns the chosen
+    pairs, the stream's state after the layer and the retried neurons."""
     pairs = duplicate_pair_distribution(30, 40.0)
     rng = np.random.default_rng(seed)
-    chosen, first_failed = [], []
-    for i in range(n_neurons):
-        pair = sample_pair(pairs, rng)
+    first = [sample_pair(pairs, rng) for _ in range(n_neurons)]
+    chosen, retried = [], []
+    for i, pair in enumerate(first):
         if pair == (1, 0):
-            first_failed.append(i)
-        while pair == (1, 0):
-            pair = sample_pair(pairs, rng)
+            retried.append(i)
+            own = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(layer_index, i)))
+            while pair == (1, 0):
+                pair = sample_pair(pairs, own)
         chosen.append(pair)
-    return chosen, rng.bit_generator.state, first_failed
+    return chosen, rng.bit_generator.state, retried
+
+
+def settled_alone(monkeypatch, **kwargs):
+    """``split_layer("dist", ...)`` with every neuron settled alone, in
+    order, and the size of each split the build asked for."""
+    passes = []
+
+    def one_neuron_per_range(fn, n, size, allocate):
+        passes.append(n)
+        for i in range(n):
+            fn(i, i + 1, allocate())
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hidden, "_split_run", one_neuron_per_range)
+        return split_layer("dist", **kwargs), passes
 
 
 class TestSplitHiddenBuild:
@@ -542,57 +561,73 @@ class TestSplitHiddenBuild:
                 got = split_layer(criterion, n_neurons=n_neurons)
                 assert got == serial, f"{n_neurons} neurons, {workers} threads"
 
-    def test_retried_neuron_mid_range_gives_the_serial_layer(self, cpus):
-        chosen, state, first_failed = serial_duplicate_draws()
-        first = first_failed[0]
-        assert len(first_failed) > 1
-        cpus(1)
-        serial = split_layer("dist", duplicates=True)
-        assert serial[1:] == (chosen, state)
-        for workers in self.WORKERS:
+    def test_retried_neuron_mid_range_gives_the_serial_layer(self, monkeypatch, cpus):
+        chosen, state, retried = serial_duplicate_draws()
+        first = retried[0]
+        assert len(retried) > 1
+        alone, _ = settled_alone(monkeypatch, duplicates=True)
+        assert alone[1:] == (chosen, state)
+        for workers in [1] + self.WORKERS:
             cpus(workers)
             # with _MIN_SLICE = 1 the work size does not limit the split
             starts = [lo for lo, _ in network._split_ranges(24, 24)]
             assert first not in starts, "the retried neuron must sit inside a range"
-            assert split_layer("dist", duplicates=True) == serial, f"{workers} threads"
+            assert split_layer("dist", duplicates=True) == alone, f"{workers} threads"
 
     # fl accepts any voltage, so only the failed pair itself stops a neuron
     @pytest.mark.parametrize("normalizer", ["ms", "fl"])
-    def test_retried_neuron_inside_the_second_block_gives_the_serial_layer(self, cpus, normalizer):
-        chosen, state, first_failed = serial_duplicate_draws(40, seed=45)
-        first = first_failed[0]
+    def test_retried_neuron_inside_the_second_block_gives_the_serial_layer(
+            self, monkeypatch, cpus, normalizer):
+        chosen, state, retried = serial_duplicate_draws(40, seed=45)
+        first = retried[0]
         assert hidden.NEURON_BLOCK < first < 2 * hidden.NEURON_BLOCK
         assert first % hidden.NEURON_BLOCK, "the retried neuron must not start a block"
-        cpus(1)
-        retried = dict(duplicates=True, n_neurons=40, layer_seed=45, normalizer=normalizer)
-        serial = split_layer("dist", **retried)
-        assert serial[1:] == (chosen, state)
-        for workers in self.WORKERS:
+        retried_layer = dict(duplicates=True, n_neurons=40, layer_seed=45, normalizer=normalizer)
+        alone, _ = settled_alone(monkeypatch, **retried_layer)
+        assert alone[1:] == (chosen, state)
+        for workers in [1] + self.WORKERS:
             cpus(workers)
             starts = [lo for lo, _ in network._split_ranges(40, 40)]
             assert first not in starts, "the retried neuron must sit inside a range"
-            assert split_layer("dist", **retried) == serial, f"{workers} threads"
+            assert split_layer("dist", **retried_layer) == alone, f"{workers} threads"
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_neurons_after_a_retry_share_products_with_the_bytes_of_one_each(
             self, monkeypatch, cpus, workers):
-        """The neurons after a retried one are settled in block products
-        again, with the bytes a loop gives that settles each neuron alone."""
-        retried = dict(duplicates=True, n_neurons=40, layer_seed=45)
-        passes = []
-
-        def one_neuron_per_range(fn, n, size, allocate):
-            passes.append(n)
-            for i in range(n):
-                fn(i, i + 1, allocate())
-
-        with monkeypatch.context() as patch:
-            patch.setattr(hidden, "_split_run", one_neuron_per_range)
-            alone = split_layer("dist", **retried)
-        first_failed = serial_duplicate_draws(40, seed=45)[2]
-        assert len(passes) == len(first_failed) + 1, "one pass per retried neuron"
+        """The neurons after a retried one are settled in the same block
+        products, with the bytes a loop gives that settles each neuron alone,
+        and the layer is split once however many neurons retry."""
+        retried_layer = dict(duplicates=True, n_neurons=40, layer_seed=45)
+        alone, passes = settled_alone(monkeypatch, **retried_layer)
+        assert len(serial_duplicate_draws(40, seed=45)[2]) > 1
+        assert passes == [40], "one split per layer"
         cpus(workers)
-        assert split_layer("dist", **retried) == alone
+        assert split_layer("dist", **retried_layer) == alone
+
+    def test_retried_neurons_in_two_threads_ranges_give_the_serial_layer(self, monkeypatch,
+                                                                         cpus):
+        # a second layer: the retries' generators are seeded by the layer too
+        chosen, state, retried = serial_duplicate_draws(layer_index=2)
+        alone, _ = settled_alone(monkeypatch, duplicates=True, layer_index=2)
+        assert alone[1:] == (chosen, state)
+        for workers in self.WORKERS:
+            cpus(workers)
+            ranges = network._split_ranges(24, 24)
+            holding = {k for k, (lo, hi) in enumerate(ranges) for i in retried if lo <= i < hi}
+            assert len(holding) > 1, f"{workers} threads: retries in one range only"
+            assert split_layer("dist", duplicates=True, layer_index=2) == alone, f"{workers} threads"
+
+    def test_retries_do_not_advance_the_layer_stream(self, cpus):
+        """The stream moves one draw per neuron however many neurons retry,
+        so a later layer's draws do not depend on this layer's retries."""
+        assert serial_duplicate_draws()[2], "some neuron must retry"
+        rng = np.random.default_rng(49)
+        pairs = duplicate_pair_distribution(30, 40.0)
+        for _ in range(24):
+            sample_pair(pairs, rng)
+        for workers in [1] + self.WORKERS:
+            cpus(workers)
+            assert split_layer("dist", duplicates=True)[2] == rng.bit_generator.state
 
     @pytest.mark.parametrize("workers", [1] + WORKERS)
     def test_exhausted_retries_name_the_neuron(self, monkeypatch, cpus, workers):
