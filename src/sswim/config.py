@@ -271,8 +271,14 @@ def _is_finite(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _mapping(section, where: str) -> dict:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a mapping, not {section!r}")
+    return section
+
+
 def _check_keys(section: dict, allowed, where: str) -> None:
-    unknown = set(section) - set(allowed)
+    unknown = set(_mapping(section, where)) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
@@ -287,7 +293,7 @@ def _dataclass_section(cls, section: dict, where: str):
 
 
 def _parse_dataset(section: dict) -> DatasetConfig:
-    section = dict(section)
+    section = dict(_mapping(section, "dataset"))
     if "synth" in section:
         synth = section.pop("synth")
         _check_keys(synth, ("kind", "variables", "steps", "seed", "noise_sigma"), "dataset.synth")
@@ -309,7 +315,7 @@ def parse_run_config(doc: dict) -> RunConfig:
     dataset = _parse_dataset(doc["dataset"])
     arch = _dataclass_section(ModelArch, doc.get("architecture", {}), "architecture")
     sswim_cfg = _dataclass_section(SswimConfig, doc.get("sswim", {}), "sswim")
-    run = dict(doc.get("run", {}))
+    run = doc.get("run", {})
     _check_keys(run, ("seeds", "out_dir", "threads"), "run")
     ablation = None
     if "ablation" in doc:

@@ -24,10 +24,10 @@ float copy would give.
 
 The support search and the normal equations run through one design loop,
 ``_over_designs``, which splits the (delay, support) keys, support
-candidates or groups, over threads with ``network._split_run``. Each key's
-BLAS calls, and the order in which a group sums its batches, are those of
-a serial loop, so residuals, Gram matrices and model files are bit for bit
-the same on any CPU count.
+candidates or output neurons, over threads with ``network._split_run``.
+Each key's BLAS calls, and the order in which a neuron sums its batches,
+are those of a serial loop, so residuals, Gram matrices and model files
+are bit for bit the same on any CPU count.
 """
 
 from __future__ import annotations
@@ -276,55 +276,29 @@ class GramAccumulator:
         self.count += n_samples
 
 
-@dataclass
-class NormalEquations:
-    """Per-output-neuron accumulators, deduplicated over equal (delay, support)."""
-
-    groups: list            # list of GramAccumulator
-    group_of_neuron: list   # neuron index -> (group index, target column)
-
-    def accumulator_for(self, neuron: int) -> tuple[GramAccumulator, int]:
-        g, col = self.group_of_neuron[neuron]
-        return self.groups[g], col
-
-
-def _dedupe_params(delays: np.ndarray, supports: np.ndarray):
-    groups = {}
-    group_of_neuron = []
-    members = []
-    for i, key in enumerate(zip(delays.tolist(), supports.tolist())):
-        if key not in groups:
-            groups[key] = len(members)
-            members.append([])
-        g = groups[key]
-        group_of_neuron.append((g, len(members[g])))
-        members[g].append(i)
-    keys = list(groups)
-    return keys, members, group_of_neuron
-
-
 def accumulate_normal_equations(batches, delays: np.ndarray, supports: np.ndarray,
-                                pspk_spec: KernelSpec) -> NormalEquations:
-    """Sum (mask, targets) batches into per-neuron normal equations.
+                                pspk_spec: KernelSpec) -> list:
+    """Sum (mask, targets) batches into one accumulator per output neuron.
 
     ``batches`` yields tuples of a boolean (samples, neurons, steps) spike
     mask and the matching (samples, d_out, H) targets on its last H steps.
-    Neurons sharing the same (delay, support) share one Gram matrix, which
-    sums one batch's design at a time; the full stacked design is never
-    materialized.
+    Neuron i's one-column accumulator sums the Gram matrix of its design,
+    at its own (delay, support), one batch at a time, with its target
+    column as the right-hand side; the full stacked design is never
+    materialized. Returns the accumulators in neuron order.
     """
     batches = list(batches)
     if not batches:
         raise ValueError("no batches were given")
-    keys, members, group_of_neuron = _dedupe_params(
-        np.asarray(delays, dtype=float), np.asarray(supports, dtype=float))
-    accs = [GramAccumulator(batches[0][0].shape[1] + 1, len(m)) for m in members]
+    keys = list(zip(np.asarray(delays, dtype=float).tolist(),
+                    np.asarray(supports, dtype=float).tolist()))
+    accs = [GramAccumulator(batches[0][0].shape[1] + 1, 1) for _ in keys]
 
-    def add(g, design, stacked, n_samples):
-        accs[g].add_block(design, stacked[:, members[g]], n_samples)
+    def add(i, design, stacked, n_samples):
+        accs[i].add_block(design, stacked[:, i:i + 1], n_samples)
 
     _over_designs(batches, keys, pspk_spec, add)
-    return NormalEquations(groups=accs, group_of_neuron=group_of_neuron)
+    return accs
 
 
 def lambda_grid(count: int = 32, lo: float = 1e-5, hi: float = 0.5) -> np.ndarray:
@@ -338,46 +312,40 @@ def lambda_grid(count: int = 32, lo: float = 1e-5, hi: float = 0.5) -> np.ndarra
     return np.logspace(np.log10(lo), np.log10(hi), count)
 
 
-def solve_with_lambda_search(train_ne: NormalEquations, valid_ne: NormalEquations,
-                             lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def solve_with_lambda_search(train: list, valid: list, lambdas: np.ndarray
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ridge solve per output neuron with validation-selected regularization.
 
-    One symmetric eigendecomposition of the training Gram per neuron covers
-    every candidate: with gram = V diag(e) V^T the ridge solution for
-    candidate lam is V diag(1/(e + M*lam)) V^T rhs. Candidates are scored
-    by the validation quadratic loss; ties keep the larger lambda. A neuron
-    whose losses are all NaN raises LambdaSearchError naming it.
+    ``train`` and ``valid`` are the per-neuron accumulators of
+    ``accumulate_normal_equations`` on the training and the validation
+    split. One symmetric eigendecomposition of neuron i's training Gram
+    covers every candidate: with gram = V diag(e) V^T the ridge solution
+    for candidate lam is V diag(1/(e + M*lam)) V^T rhs. Candidates are
+    scored by the validation quadratic loss; ties keep the larger lambda.
+    A failed eigendecomposition raises EigensolverError, and losses that
+    are all NaN raise LambdaSearchError, each naming the neuron.
 
     Returns (weights (d_out, n_hidden), bias (d_out,), chosen lambda (d_out,)).
     """
     lambdas = np.asarray(lambdas, dtype=float)
-    n_neurons = len(train_ne.group_of_neuron)
-    n_features = train_ne.groups[0].n_features
-    weights = np.empty((n_neurons, n_features - 1))
+    n_neurons = len(train)
+    weights = np.empty((n_neurons, train[0].n_features - 1))
     bias = np.empty(n_neurons)
     chosen = np.empty(n_neurons)
-    eig_cache = {}
-    for i in range(n_neurons):
-        g, col = train_ne.group_of_neuron[i]
-        acc = train_ne.groups[g]
-        vacc, vcol = valid_ne.accumulator_for(i)
-        if g not in eig_cache:
-            sym = 0.5 * (acc.gram + acc.gram.T)
-            try:
-                eig_cache[g] = np.linalg.eigh(sym)
-            except np.linalg.LinAlgError as exc:
-                raise EigensolverError(
-                    f"eigendecomposition failed for output neuron {i}: {exc}", neuron=i
-                ) from exc
-        evals, evecs = eig_cache[g]
-        rhs = acc.rhs[:, col]
-        rot_rhs = evecs.T @ rhs
+    for i, (acc, vacc) in enumerate(zip(train, valid)):
+        try:
+            evals, evecs = np.linalg.eigh(0.5 * (acc.gram + acc.gram.T))
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(
+                f"eigendecomposition failed for output neuron {i}: {exc}", neuron=i
+            ) from exc
+        rot_rhs = evecs.T @ acc.rhs[:, 0]
         best_loss = np.inf
         best_p = None
         best_lam = None
         for lam in lambdas:
             p = evecs @ (rot_rhs / (evals + acc.count * lam))
-            loss = p @ (vacc.gram @ p) - 2.0 * (p @ vacc.rhs[:, vcol]) + vacc.target_sq[vcol]
+            loss = p @ (vacc.gram @ p) - 2.0 * (p @ vacc.rhs[:, 0]) + vacc.target_sq[0]
             if loss <= best_loss:
                 best_loss = loss
                 best_p = p

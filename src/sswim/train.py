@@ -58,7 +58,6 @@ from .sampling import (
     EmbeddingSpec,
     Pseudometric,
     VanRossumLift,
-    pair_probabilities,
     select_metrics,
 )
 
@@ -120,12 +119,6 @@ def _phase(name: str, timings: dict):
         raise PipelineError(name, exc) from exc
     finally:
         timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
-
-
-def _candidate_metrics(cfg: SswimConfig, lift: VanRossumLift | None):
-    cands_in = [Pseudometric(EmbeddingSpec.parse(c), lift) for c in cfg.metric_candidates]
-    cands_out = [Pseudometric(EmbeddingSpec.parse(c)) for c in cfg.metric_candidates]
-    return cands_in, cands_out
 
 
 # Samples per term of the output fit's normal equations: each Gram matrix
@@ -238,19 +231,16 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
                     # weights ignore the pair distribution; no metric is consulted
                     pairs, names = None, ("none", "none")
                 else:
-                    if cfg.metric_mode == "entropy":
-                        cands_in, cands_out = _candidate_metrics(cfg, lift)
-                        d_in_metric, d_out_metric, pairs = select_metrics(
-                            latents, targets_xi, cands_in, cands_out, eps=cfg.epsilon,
-                            min_norm=cfg.min_norm, min_entropy=cfg.min_entropy,
-                        )
-                    else:
-                        d_in_metric = Pseudometric(EmbeddingSpec.parse(cfg.metric_in), lift)
-                        d_out_metric = Pseudometric(EmbeddingSpec.parse(cfg.metric_out))
-                        pairs = pair_probabilities(
-                            latents, targets_xi, d_in_metric, d_out_metric,
-                            eps=cfg.epsilon, min_norm=cfg.min_norm,
-                        )
+                    entropy = cfg.metric_mode == "entropy"
+                    names_in = cfg.metric_candidates if entropy else [cfg.metric_in]
+                    names_out = cfg.metric_candidates if entropy else [cfg.metric_out]
+                    d_in_metric, d_out_metric, pairs = select_metrics(
+                        latents, targets_xi,
+                        [Pseudometric(EmbeddingSpec.parse(c), lift) for c in names_in],
+                        [Pseudometric(EmbeddingSpec.parse(c)) for c in names_out],
+                        eps=cfg.epsilon, min_norm=cfg.min_norm,
+                        min_entropy=cfg.min_entropy if entropy else None,
+                    )
                     names = (d_in_metric.name, d_out_metric.name)
                 layer, _ = build_hidden_layer(
                     layer_index, n_layers, n_neurons, hidden_pspk, hidden_rfk,
@@ -311,11 +301,10 @@ def train_sswim(dataset: ForecastDataset, arch: ModelArch, cfg: SswimConfig,
     with _phase("eval", timings):
         counts_sq = splits["train"][0].sum(axis=2)
         for i in range(d_out):
-            acc, _ = equations["train"].accumulator_for(i)
             taps = out_layer.placed_kernel(i).taps(total_steps)
             report.condition_bounds.append(
                 condition_bound_diagnostic(
-                    acc, report.chosen_lambda[i], counts_sq,
+                    equations["train"][i], report.chosen_lambda[i], counts_sq,
                     horizon, float(np.sum(taps**2)),
                 )
             )

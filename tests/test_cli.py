@@ -124,6 +124,17 @@ BAD_VALUES = [
     ("architecture", "hidden: [20, true]", "hidden"),
     ("architecture", 'hidden: ["3"]', "hidden"),
     ("architecture", "hidden: [0]", "hidden"),
+    ("dataset", "synth: 5", "dataset.synth must be a mapping"),
+]
+
+# (section, a value that is not a mapping): the config error must name the section
+NON_MAPPING_SECTIONS = [
+    ("sswim", 5),
+    ("sswim", None),
+    ("dataset", 5),
+    ("architecture", [20]),
+    ("run", [1]),
+    ("ablation", 5),
 ]
 
 # one non-finite value per float field of SswimConfig
@@ -281,6 +292,18 @@ class TestTrainCommand:
         path.write_text(with_value(path.read_text(), section, line))
         assert main(["train", "--config", str(path)]) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, value", NON_MAPPING_SECTIONS,
+                             ids=[f"{name}: {value}" for name, value in NON_MAPPING_SECTIONS])
+    def test_non_mapping_section_exits_two_before_any_output(self, tmp_path, capsys,
+                                                             section, value):
+        path, out = write_config(tmp_path)
+        doc = yaml.safe_load(path.read_text())
+        doc[section] = value
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["train", "--config", str(path)]) == 2
+        assert f"{section} must be a mapping" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("line", NON_FINITE)

@@ -343,7 +343,7 @@ class TestGramAccumulator:
 
         one = accumulate_normal_equations(batches([10]), delays, supports, HAT)
         two = accumulate_normal_equations(batches([6, 4]), delays, supports, HAT)
-        for g1, g2 in zip(one.groups, two.groups):
+        for g1, g2 in zip(one, two):
             np.testing.assert_allclose(g1.gram, g2.gram, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(g1.rhs, g2.rhs, rtol=1e-12, atol=1e-12)
             assert g1.count == g2.count
@@ -355,9 +355,9 @@ class TestGramAccumulator:
         ne = accumulate_normal_equations(
             iter([(mask, targets)]), np.zeros(1), np.ones(1), HAT
         )
-        assert ne.groups[0].count == 7
+        assert ne[0].count == 7
 
-    def test_dedupe_shares_groups(self):
+    def test_one_accumulator_per_neuron(self):
         rng = np.random.default_rng(58)
         mask = masks_of(random_spike_sets(rng, 4, 3, 24))
         targets = rng.normal(size=(4, 3, 8))
@@ -366,9 +366,13 @@ class TestGramAccumulator:
         ne = accumulate_normal_equations(
             iter([(mask, targets)]), delays, supports, HAT
         )
-        assert len(ne.groups) == 2
-        assert ne.group_of_neuron[0][0] == ne.group_of_neuron[1][0]
-        assert ne.group_of_neuron[2][0] != ne.group_of_neuron[0][0]
+        assert len(ne) == 3
+        assert ne[0].gram.tobytes() == ne[1].gram.tobytes()
+        for i, acc in enumerate(ne):
+            alone = accumulate_normal_equations(
+                iter([(mask, targets[:, i:i + 1])]), delays[i:i + 1], supports[i:i + 1], HAT
+            )
+            np.testing.assert_array_equal(acc.rhs, alone[0].rhs)
 
 
 def dense_ridge_solution(design, y, m, lam):
@@ -410,10 +414,7 @@ class TestLambdaSearch:
     def test_identity_gram_with_zero_lambda(self):
         acc = GramAccumulator(3, 1)
         acc.add_block(np.eye(3), np.array([[2.0], [3.0], [4.0]]), 1)
-        from sswim.output import NormalEquations
-
-        ne = NormalEquations(groups=[acc], group_of_neuron=[(0, 0)])
-        w, b, chosen = solve_with_lambda_search(ne, ne, np.array([0.0]))
+        w, b, chosen = solve_with_lambda_search([acc], [acc], np.array([0.0]))
         assert b[0] == pytest.approx(2.0)
         np.testing.assert_allclose(w[0], [3.0, 4.0])
 
@@ -430,19 +431,13 @@ class TestLambdaSearch:
         acc = GramAccumulator(2, 1)
         acc.add_block(np.eye(2), np.array([[1.0], [1.0]]), 1)
         vacc = GramAccumulator(2, 1)
-        from sswim.output import NormalEquations
-
-        ne = NormalEquations(groups=[acc], group_of_neuron=[(0, 0)])
-        vne = NormalEquations(groups=[vacc], group_of_neuron=[(0, 0)])
         lams = np.array([0.01, 0.1, 1.0])
-        _, _, chosen = solve_with_lambda_search(ne, vne, lams)
+        _, _, chosen = solve_with_lambda_search([acc], [vacc], lams)
         assert chosen[0] == 1.0
 
     def test_nan_validation_gram_names_the_neuron(self):
-        # two (delay, support) groups; only the second neuron's validation
-        # Gram is NaN, so every one of its candidate losses is NaN
-        from sswim.output import NormalEquations
-
+        # two output neurons; only the second neuron's validation Gram is
+        # NaN, so every one of its candidate losses is NaN
         def accumulator():
             acc = GramAccumulator(2, 1)
             acc.add_block(np.eye(2), np.array([[1.0], [1.0]]), 1)
@@ -450,9 +445,8 @@ class TestLambdaSearch:
 
         bad = accumulator()
         bad.gram[:] = np.nan
-        params = dict(group_of_neuron=[(0, 0), (1, 0)])
-        ne = NormalEquations(groups=[accumulator(), accumulator()], **params)
-        vne = NormalEquations(groups=[accumulator(), bad], **params)
+        ne = [accumulator(), accumulator()]
+        vne = [accumulator(), bad]
         with pytest.raises(LambdaSearchError, match="output neuron 1") as info:
             solve_with_lambda_search(ne, vne, lambda_grid(4))
         assert info.value.neuron == 1
@@ -486,7 +480,7 @@ class TestConditionBound:
                 iter([(masks_of(spike_sets), targets)]),
                 np.array([tau]), np.array([sigma]), HAT,
             )
-            acc = ne.groups[0]
+            acc = ne[0]
             lam = rng.uniform(0.01, 1.0)
             f = acc.gram + acc.count * lam * np.eye(acc.n_features)
             evals = np.linalg.eigvalsh(f)
@@ -556,8 +550,8 @@ class TestAssembleDesignBuffer:
 
 
 def split_fit_case():
-    """Spike masks, targets and parameters for the output fit of 4 outputs
-    in 3 (delay, support) groups, on 23 samples."""
+    """Spike masks, targets and parameters for the output fit of 4 outputs,
+    two of which share a (delay, support), on 23 samples."""
     rng = np.random.default_rng(61)
     mask = rng.random((23, 9, 40)) < 0.15
     targets = rng.normal(size=(23, 4, 8))
@@ -590,7 +584,7 @@ def normal_equation_bytes(mask, targets, delays, supports):
 
     ne = accumulate_normal_equations(batches(), delays, supports, HAT)
     return [(acc.gram.tobytes(), acc.rhs.tobytes(), acc.target_sq.tobytes(), acc.count)
-            for acc in ne.groups]
+            for acc in ne]
 
 
 def criterion_13_bytes():
@@ -636,7 +630,7 @@ class TestSplitOutputFit:
         case = split_fit_case()
         cpus(1)
         serial = normal_equation_bytes(*case)
-        assert len(serial) == 3
+        assert len(serial) == 4
         cpus(workers)
         assert normal_equation_bytes(*case) == serial
 
